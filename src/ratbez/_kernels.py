@@ -1,42 +1,26 @@
 """Hot numeric kernels: de Casteljau evaluation over parameter grids,
 repeated one-step degree elevation, and the max norm-over-weight scan.
 
-Every kernel has a pure-numpy implementation (``_np_*``) and, when numba
-imports cleanly, a jitted twin (``_nb_*``).  The jitted path is the
-default; set ``RATBEZ_NO_NUMBA=1`` to force the numpy path.  The public
-names dispatch to whichever backend was selected at import time and
-``USING_NUMBA`` / ``BACKEND`` record the choice.  Both backends produce
-bitwise-identical results for the same inputs.
+Each kernel is a vectorized numpy body (``_np_*``); the public names
+check and coerce their arguments to contiguous float64 and call it.
+``BACKEND`` names the implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _flag_set(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
+BACKEND = "numpy"
 
 
-NUMBA_DISABLED = _flag_set("RATBEZ_NO_NUMBA")
+def _rowwise_norm(rows: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm (p = 1, 2 or inf) of every row of a 2-d array."""
+    if p == 1.0:
+        return np.abs(rows).sum(axis=1)
+    if np.isinf(p):
+        return np.abs(rows).max(axis=1)
+    return np.sqrt((rows * rows).sum(axis=1))
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("RATBEZ_NO_NUMBA is set")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    njit = None
-    USING_NUMBA = False
-
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
 
 def _np_decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Evaluate Bernstein-form coefficients (m+1, k) at each t; returns (T, k)."""
@@ -72,96 +56,10 @@ def _np_elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
 
 def _np_max_norm_ratio(nums: np.ndarray, wts: np.ndarray, p: float):
     """Max over rows of |nums[i]|_p / wts[i]; ties keep the smallest index."""
-    if p == 1.0:
-        norms = np.abs(nums).sum(axis=1)
-    elif np.isinf(p):
-        norms = np.abs(nums).max(axis=1)
-    else:
-        norms = np.sqrt((nums * nums).sum(axis=1))
-    ratios = norms / wts
+    ratios = _rowwise_norm(nums, p) / wts
     i = int(np.argmax(ratios))
     return float(ratios[i]), i
 
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _nb_decasteljau_grid(coeffs, ts):  # pragma: no cover - jitted
-        m1, k = coeffs.shape
-        nt = ts.shape[0]
-        out = np.empty((nt, k))
-        b = np.empty((m1, k))
-        for q in range(nt):
-            t = ts[q]
-            s = 1.0 - t
-            for i in range(m1):
-                for c in range(k):
-                    b[i, c] = coeffs[i, c]
-            for r in range(1, m1):
-                for i in range(m1 - r):
-                    for c in range(k):
-                        b[i, c] = s * b[i, c] + t * b[i + 1, c]
-            for c in range(k):
-                out[q, c] = b[0, c]
-        return out
-
-    @njit(cache=True)
-    def _nb_elevate_chain(coeffs, steps):  # pragma: no cover - jitted
-        m1, k = coeffs.shape
-        out = np.empty((m1 + steps, k))
-        for i in range(m1):
-            for c in range(k):
-                out[i, c] = coeffs[i, c]
-        cur = m1
-        for _ in range(steps):
-            for c in range(k):
-                out[cur, c] = out[cur - 1, c]
-            # walk backwards so out[i - 1] is still the previous level
-            for i in range(cur - 1, 0, -1):
-                lam = i / cur
-                for c in range(k):
-                    out[i, c] = lam * out[i - 1, c] + (1.0 - lam) * out[i, c]
-            cur += 1
-        return out[:cur]
-
-    @njit(cache=True)
-    def _nb_max_norm_ratio(nums, wts, p):  # pragma: no cover - jitted
-        best = -1.0
-        besti = 0
-        for i in range(nums.shape[0]):
-            a = 0.0
-            if p == 1.0:
-                for c in range(nums.shape[1]):
-                    a += abs(nums[i, c])
-            elif p == np.inf:
-                for c in range(nums.shape[1]):
-                    v = abs(nums[i, c])
-                    if v > a:
-                        a = v
-            else:
-                for c in range(nums.shape[1]):
-                    a += nums[i, c] * nums[i, c]
-                a = np.sqrt(a)
-            r = a / wts[i]
-            if r > best:
-                best = r
-                besti = i
-        return best, besti
-
-    _decasteljau_impl = _nb_decasteljau_grid
-    _elevate_impl = _nb_elevate_chain
-    _max_ratio_impl = _nb_max_norm_ratio
-else:
-    _decasteljau_impl = _np_decasteljau_grid
-    _elevate_impl = _np_elevate_chain
-    _max_ratio_impl = _np_max_norm_ratio
-
-
-# ---------------------------------------------------------------------------
-# public wrappers (coerce to contiguous float64 and dispatch)
 
 def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Evaluate a (m+1, k) Bernstein coefficient array at every t in `ts`.
@@ -175,7 +73,7 @@ def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         raise ValueError("coeffs must be 2-d (rows of coefficients)")
     if c.shape[0] < 1:
         raise ValueError("empty coefficient array")
-    return _decasteljau_impl(c, t)
+    return _np_decasteljau_grid(c, t)
 
 
 def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
@@ -191,7 +89,7 @@ def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
         raise ValueError("empty coefficient array")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    return _elevate_impl(c, int(steps))
+    return _np_elevate_chain(c, int(steps))
 
 
 def max_norm_ratio(nums: np.ndarray, wts: np.ndarray, p: float = 2.0):
@@ -202,4 +100,4 @@ def max_norm_ratio(nums: np.ndarray, wts: np.ndarray, p: float = 2.0):
         raise ValueError("nums must be (m, k) and wts (m,)")
     if a.shape[0] < 1:
         raise ValueError("empty arrays")
-    return _max_ratio_impl(a, w, float(p))
+    return _np_max_norm_ratio(a, w, float(p))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import elevate_chain, max_norm_ratio
+from ._kernels import _rowwise_norm, elevate_chain, max_norm_ratio
 from .curve import RationalBezierCurve, require_valid
 from .derivative import DerivativeForm
 
@@ -29,14 +29,6 @@ def _check_p(p) -> float:
     if p not in _ALLOWED_P:
         raise ValueError(f"norm order must be 1, 2, or inf, got {p}")
     return p
-
-
-def _rowwise_norm(rows: np.ndarray, p: float) -> np.ndarray:
-    if p == 1.0:
-        return np.abs(rows).sum(axis=1)
-    if np.isinf(p):
-        return np.abs(rows).max(axis=1)
-    return np.sqrt((rows * rows).sum(axis=1))
 
 
 @dataclass(frozen=True)

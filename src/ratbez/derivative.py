@@ -15,6 +15,7 @@ A finite-difference evaluator is included as an independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from ._kernels import decasteljau_grid, elevate_chain
 from .curve import (
     RationalBezierCurve,
     _check_t,
-    binomial,
     decasteljau,
     eval_point,
     eval_weight,
@@ -107,9 +107,9 @@ def sederberg_terms(curve: RationalBezierCurve) -> SederbergNumerator:
         acc = np.zeros(curve.dimension)
         for j in range(max(0, i - n + 1), i // 2 + 1):
             k = i - j + 1
-            coef = (i - 2 * j + 1) * binomial(n, j) * binomial(n, k)
+            coef = (i - 2 * j + 1) * math.comb(n, j) * math.comb(n, k)
             acc += (coef * w[j] * w[k]) * (p[k] - p[j])
-        terms[i] = acc / binomial(2 * n - 2, i)
+        terms[i] = acc / math.comb(2 * n - 2, i)
     return SederbergNumerator(2 * n - 2, terms)
 
 
@@ -122,49 +122,50 @@ def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarra
     return value / (w * w)
 
 
+def _binomials(m: int) -> np.ndarray:
+    return np.array([float(math.comb(m, i)) for i in range(m + 1)])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients of the product of two Bernstein polynomials.
+
+    `a` holds m + 1 rows of coefficients and `b` holds l + 1 scalars; the
+    degree-(m+l) product has the rows
+    sum_j C(m, j) C(l, i-j) a_j b_{i-j} / C(m+l, i).
+    """
+    m, l = len(a) - 1, len(b) - 1
+    scaled = _binomials(m)[:, None] * a
+    out = np.zeros((m + l + 1, a.shape[1]))
+    for j, bj in enumerate(_binomials(l) * b):
+        out[j : j + m + 1] += bj * scaled
+    return out / _binomials(m + l)[:, None]
+
+
 def derivative_weights(curve: RationalBezierCurve) -> np.ndarray:
     """Degree-2n Bernstein coefficients of the squared weight function.
 
     w(t)^2 = sum_i W_i B_i^{2n}(t) with
     W_i = sum_j [C(n, j) C(n, i-j) / C(2n, i)] w_j w_{i-j}.
     """
-    n = _require_positive_degree(curve)
+    _require_positive_degree(curve)
     w = curve.weights
-    out = np.empty(2 * n + 1)
-    for i in range(2 * n + 1):
-        denom = binomial(2 * n, i)
-        acc = 0.0
-        for j in range(max(0, i - n), min(i, n) + 1):
-            acc += (binomial(n, j) * binomial(n, i - j) / denom) * w[j] * w[i - j]
-        out[i] = acc
-    return out
+    return _product(w[:, None], w)[:, 0]
 
 
 def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
     """Degree-(2n-1) numerator points P_j of p'(t) w(t) - p(t) w'(t).
 
-    The product-rule numerator equals n * sum_j P_j B_j^{2n-1}(t) with
-
-    P_j = sum_h [C(n-1, h) C(n, j-h) / C(2n-1, j)]
-          * (w_{h+1} w_{j-h} (p_{h+1} - p_{j-h}) + w_h w_{j-h} (p_{j-h} - p_h)),
-
-    h running from max(0, j-n) to min(n-1, j).
+    With A(t) the weighted-point numerator of the curve, the product-rule
+    numerator A'(t) w(t) - A(t) w'(t) equals n * sum_j P_j B_j^{2n-1}(t),
+    where P = product(dA, w) - product(A, dw) for the forward differences
+    dA, dw of the coefficients.  A is built from p_i - p_0: translating
+    the points leaves the numerator unchanged, and P_0 = w_0 w_1 (p_1 - p_0)
+    comes out without cancellation.
     """
-    n = _require_positive_degree(curve)
-    p = curve.points
+    _require_positive_degree(curve)
     w = curve.weights
-    out = np.zeros((2 * n, curve.dimension))
-    for j in range(2 * n):
-        denom = binomial(2 * n - 1, j)
-        acc = np.zeros(curve.dimension)
-        for h in range(max(0, j - n), min(n - 1, j) + 1):
-            coef = binomial(n - 1, h) * binomial(n, j - h) / denom
-            bracket = w[h + 1] * w[j - h] * (p[h + 1] - p[j - h]) + w[h] * w[j - h] * (
-                p[j - h] - p[h]
-            )
-            acc += coef * bracket
-        out[j] = acc
-    return out
+    a = w[:, None] * (curve.points - curve.points[0])
+    return _product(np.diff(a, axis=0), w) - _product(a, np.diff(w))
 
 
 def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
@@ -173,11 +174,22 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     The degree-(2n-1) numerator points are elevated once so numerator and
     squared-weight denominator share degree 2n; dividing componentwise by
     the weights then yields the derivative's rational control points.
+    Raises ValueError when a squared-weight coefficient overflows or
+    underflows to zero, or a numerator point overflows.
     """
     n = _require_positive_degree(curve)
-    inter = intermediate_points(curve)
-    elevated = elevate_chain(inter, 1)
-    wts = derivative_weights(curve)
+    # out-of-range values are caught below, not reported as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        wts = derivative_weights(curve)
+        inter = intermediate_points(curve)
+        elevated = elevate_chain(inter, 1)
+    if not (np.isfinite(wts).all() and (wts > 0.0).all()):
+        raise ValueError(
+            "squared weight coefficients under- or overflow the float range; "
+            "rescale the weights"
+        )
+    if not np.isfinite(elevated).all():
+        raise ValueError("derivative numerator points overflow the float range")
     control = n * elevated / wts[:, None]
     return DerivativeForm(
         source_degree=n,

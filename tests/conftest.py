@@ -1,4 +1,4 @@
-"""Shared fixtures: kernel warm-up and the frozen random corpus."""
+"""Shared fixtures: the frozen random corpus and the family curves."""
 
 from __future__ import annotations
 
@@ -6,22 +6,10 @@ import numpy as np
 import pytest
 
 from ratbez import counterexample_family
-from ratbez._kernels import decasteljau_grid, elevate_chain, max_norm_ratio
 
 from oracles import random_curve
 
 CORPUS_SEED = 20260819
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation once, before timed tests run."""
-    coeffs = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-    decasteljau_grid(coeffs, np.array([0.0, 0.5, 1.0]))
-    elevate_chain(coeffs, 2)
-    max_norm_ratio(coeffs, np.array([1.0, 2.0, 3.0]), 2.0)
-    max_norm_ratio(coeffs, np.array([1.0, 2.0, 3.0]), 1.0)
-    max_norm_ratio(coeffs, np.array([1.0, 2.0, 3.0]), float("inf"))
 
 
 @pytest.fixture(scope="session")

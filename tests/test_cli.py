@@ -150,6 +150,18 @@ def test_maximize_quadratic_peak_exact_text(fam2_file, capsys):
     assert capsys.readouterr().out.strip() == "2.666667 @ t=0.500000"
 
 
+@pytest.mark.parametrize("weights", [[1e200] * 3, [1e-200, 1.0, 1e-200]])
+def test_maximize_out_of_range_weights_exit_2(weights, tmp_path, capsys):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({
+        "degree": 2, "points": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], "weights": weights,
+    }))
+    assert main(["maximize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "squared weight" in captured.err
+
+
 def test_maximize_rejects_bad_tol(fam11_file, capsys):
     assert main(["maximize", fam11_file, "--tol", "2"]) == 2
     assert "tol" in capsys.readouterr().err

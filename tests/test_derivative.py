@@ -10,6 +10,7 @@ from ratbez import (
     build_derivative_form,
     counterexample_family,
     derivative_weights,
+    elevation_bound,
     eval_derivative_explicit,
     eval_derivative_explicit_many,
     eval_derivative_sederberg,
@@ -74,6 +75,20 @@ def test_degree_zero_curve_rejected():
         sederberg_terms(point)
     with pytest.raises(ValueError, match="degree-0"):
         build_derivative_form(point)
+
+
+@pytest.mark.parametrize("weights", [[1e200] * 3, [1e-200, 1.0, 1e-200]])
+def test_out_of_range_squared_weights_rejected(weights):
+    # w^2 overflows to inf, or underflows to 0 at an end coefficient
+    curve = RationalBezierCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], weights)
+    with pytest.raises(ValueError, match="squared weight"):
+        build_derivative_form(curve)
+
+
+def test_overflowing_numerator_rejected():
+    curve = RationalBezierCurve([(0.0,), (1.5e308,), (-1.5e308,)], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="numerator"):
+        build_derivative_form(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +191,37 @@ def test_forms_agree_property(n, d, t, seed):
     b = eval_derivative_explicit(form, t)
     scale = 1.0 + float(np.sqrt((b * b).sum()))
     assert float(np.sqrt(((a - b) ** 2).sum())) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [34, 40, 60])
+def test_high_degree_forms_agree_and_bound_holds(n):
+    # from degree 34 the binomials of the degree-2n form exceed 64 bits
+    curve = counterexample_family(n)
+    form = build_derivative_form(curve)
+    bound = elevation_bound(form, 1000).value
+    ts = np.linspace(0.0, 1.0, 21)
+    for t, value in zip(ts, eval_derivative_explicit_many(form, ts)):
+        ref = eval_derivative_sederberg(curve, float(t))
+        assert np.linalg.norm(value - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(value) <= bound
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rigid_motion_keeps_derivative_norm(n, angle, shift, seed):
+    rng = np.random.default_rng(seed)
+    curve = _benign_curve(rng, n, 2)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    moved = RationalBezierCurve(curve.points @ rotation.T + np.array(shift), curve.weights)
+    ts = np.linspace(0.0, 1.0, 11)
+    before = np.linalg.norm(eval_derivative_explicit_many(build_derivative_form(curve), ts), axis=1)
+    after = np.linalg.norm(eval_derivative_explicit_many(build_derivative_form(moved), ts), axis=1)
+    assert np.abs(after - before).max() <= 1e-8 * before.max()
 
 
 def test_finite_difference_matches_closed_forms():

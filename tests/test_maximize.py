@@ -80,3 +80,10 @@ def test_refinement_beats_coarse_grid():
     curve = counterexample_family(2)
     coarse = maximize_derivative_norm(curve, grid_size=11, tol=1e-12)
     assert coarse.max_value == pytest.approx(8.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("weights", [[1e200] * 3, [1e-200, 1.0, 1e-200]])
+def test_out_of_range_weights_raise_instead_of_nan(weights):
+    curve = RationalBezierCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], weights)
+    with pytest.raises(ValueError, match="squared weight"):
+        maximize_derivative_norm(curve, grid_size=1000)
