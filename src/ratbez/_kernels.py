@@ -1,9 +1,11 @@
 """Hot numeric kernels: de Casteljau evaluation over parameter grids,
-repeated one-step degree elevation, and the max norm-over-weight scan.
+subdivision at t = 1/2, repeated one-step degree elevation, and the max
+norm-over-weight scan.
 
 Each kernel is a vectorized numpy body (``_np_*``); the public names
-check and coerce their arguments to contiguous float64 and call it.
-``BACKEND`` names the implementation.
+check and coerce their arguments to contiguous float64 and call it;
+``split`` takes the maximizer's own arrays as they are.  ``BACKEND``
+names the implementation.
 """
 
 from __future__ import annotations
@@ -74,6 +76,20 @@ def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     if c.shape[0] < 1:
         raise ValueError("empty coefficient array")
     return _np_decasteljau_grid(c, t)
+
+
+def split(coeffs: np.ndarray):
+    """De Casteljau at t = 1/2: the coefficient rows of both halves, each
+    reparametrized to [0, 1]; they share the row at t = 1/2."""
+    m1 = coeffs.shape[0]
+    left = np.empty_like(coeffs)
+    right = np.empty_like(coeffs)
+    b = coeffs
+    left[0], right[-1] = b[0], b[-1]
+    for r in range(1, m1):
+        b = 0.5 * (b[:-1] + b[1:])
+        left[r], right[m1 - 1 - r] = b[0], b[-1]
+    return left, right
 
 
 def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:

@@ -10,7 +10,7 @@ Two equivalent representations are built from the control data alone:
   degree-2n weight coefficients give genuine rational control points
   for the derivative.
 
-A finite-difference evaluator is included as an independent check.
+A finite-difference estimate is included as an independent check.
 """
 
 from __future__ import annotations
@@ -98,18 +98,25 @@ def sederberg_terms(curve: RationalBezierCurve) -> SederbergNumerator:
     D_i = (1 / C(2n-2, i)) * sum_j (i - 2j + 1) C(n, j) C(n, i-j+1)
           w_j w_{i-j+1} (p_{i-j+1} - p_j),
     summed over j from max(0, i-n+1) to floor(i/2), for i = 0 .. 2n-2.
+    Raises ValueError when a term leaves the float range.
     """
     n = _require_positive_degree(curve)
     p = curve.points
     w = curve.weights
     terms = np.zeros((2 * n - 1, curve.dimension))
-    for i in range(2 * n - 1):
-        acc = np.zeros(curve.dimension)
-        for j in range(max(0, i - n + 1), i // 2 + 1):
-            k = i - j + 1
-            coef = (i - 2 * j + 1) * math.comb(n, j) * math.comb(n, k)
-            acc += (coef * w[j] * w[k]) * (p[k] - p[j])
-        terms[i] = acc / math.comb(2 * n - 2, i)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(2 * n - 1):
+                acc = np.zeros(curve.dimension)
+                for j in range(max(0, i - n + 1), i // 2 + 1):
+                    k = i - j + 1
+                    coef = (i - 2 * j + 1) * math.comb(n, j) * math.comb(n, k)
+                    acc += (coef * w[j] * w[k]) * (p[k] - p[j])
+                terms[i] = acc / math.comb(2 * n - 2, i)
+    except OverflowError:
+        terms[:] = np.inf
+    if not np.isfinite(terms).all():
+        raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
     return SederbergNumerator(2 * n - 2, terms)
 
 
@@ -123,7 +130,10 @@ def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarra
 
 
 def _binomials(m: int) -> np.ndarray:
-    return np.array([float(math.comb(m, i)) for i in range(m + 1)])
+    try:
+        return np.array([float(math.comb(m, i)) for i in range(m + 1)])
+    except OverflowError:
+        raise ValueError(f"binomial coefficients of degree {m} exceed the float range") from None
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,20 +184,19 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     The degree-(2n-1) numerator points are elevated once so numerator and
     squared-weight denominator share degree 2n; dividing componentwise by
     the weights then yields the derivative's rational control points.
-    Raises ValueError when a squared-weight coefficient overflows or
-    underflows to zero, or a numerator point overflows.
+    The weights are first divided by their maximum, which leaves r' as it
+    is.  Raises ValueError when a squared-weight coefficient underflows,
+    a numerator point overflows, or the degree is past 514.
     """
     n = _require_positive_degree(curve)
+    curve = RationalBezierCurve(curve.points, curve.weights / curve.weights.max())
     # out-of-range values are caught below, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         wts = derivative_weights(curve)
         inter = intermediate_points(curve)
         elevated = elevate_chain(inter, 1)
-    if not (np.isfinite(wts).all() and (wts > 0.0).all()):
-        raise ValueError(
-            "squared weight coefficients under- or overflow the float range; "
-            "rescale the weights"
-        )
+    if not (wts > 0.0).all():
+        raise ValueError("squared weight coefficients underflow to zero; the weight range is too wide")
     if not np.isfinite(elevated).all():
         raise ValueError("derivative numerator points overflow the float range")
     control = n * elevated / wts[:, None]

@@ -61,33 +61,24 @@ def counterexample_family(n: int) -> RationalBezierCurve:
     return RationalBezierCurve(points, weights)
 
 
-def conjecture_verdict(
-    curve: RationalBezierCurve,
-    grid_size: int = 100_000,
-    tol: float = 1e-10,
-) -> VerdictRecord:
+def conjecture_verdict(curve: RationalBezierCurve, tol: float = 1e-10) -> VerdictRecord:
     """Compare the measured derivative peak against the conjectured bound.
 
     margin = bound - measured peak; negative margin means "violated".
     """
-    peak = maximize_derivative_norm(curve, grid_size=grid_size, tol=tol)
+    peak = maximize_derivative_norm(curve, tol=tol)
     bound = conjecture_bound(curve)
     margin = bound.value - peak.max_value
     return VerdictRecord("violated" if margin < 0.0 else "holds", margin)
 
 
-def table1_row(
-    n: int,
-    e: int = 1000,
-    grid_size: int = 100_000,
-    tol: float = 1e-10,
-) -> Table1Row:
+def table1_row(n: int, e: int = 1000, tol: float = 1e-10) -> Table1Row:
     """Compute one comparison row for the degree-n family member.
 
     `runtime_seconds` times only the elevation-bound computation.
     """
     curve = counterexample_family(n)
-    peak = maximize_derivative_norm(curve, grid_size=grid_size, tol=tol)
+    peak = maximize_derivative_norm(curve, tol=tol)
     conj = conjecture_bound(curve)
     form = build_derivative_form(curve)
     start = time.perf_counter()
@@ -110,16 +101,15 @@ def run_table1(
     n_min: int = 2,
     n_max: int = 20,
     e: int = 1000,
-    grid_size: int = 100_000,
     tol: float = 1e-10,
 ) -> list[Table1Row]:
-    """Comparison rows for every degree in [n_min, n_max]."""
-    if not 2 <= n_min <= n_max <= 30:
-        raise ValueError(f"degree range must satisfy 2 <= n_min <= n_max <= 30, got [{n_min}, {n_max}]")
+    """Comparison rows for every degree in [n_min, n_max]; forms build up to 514."""
+    if not 2 <= n_min <= n_max <= 514:
+        raise ValueError(f"degree range must satisfy 2 <= n_min <= n_max <= 514, got [{n_min}, {n_max}]")
     rows = []
     for n in range(n_min, n_max + 1):
         try:
-            rows.append(table1_row(n, e=e, grid_size=grid_size, tol=tol))
+            rows.append(table1_row(n, e=e, tol=tol))
         except Exception as exc:
             raise RuntimeError(f"table row for degree {n} failed: {exc}") from exc
     return rows

@@ -1,134 +1,78 @@
-"""Numerical maximization of the derivative magnitude |r'(t)| on [0, 1].
+"""Maximization of the derivative magnitude |r'(t)| on [0, 1].
 
-A dense uniform grid locates the global peak; golden-section search then
-refines the bracketing interval around the best grid point.  Both stages
-are deterministic: ties on the grid resolve to the smallest parameter.
+The explicit derivative form is a rational Bezier curve with positive
+weights, so on each de Casteljau piece of it max |n N_i| / W_i bounds
+|r'| (convex hull property), and the end rows give attained values.
+Branch and bound halves the piece with the largest bound until the best
+attained value is within `tol` of it.  In exact arithmetic
+[max_value, upper] encloses the supremum; `upper` has no allowance for
+rounding.  Ties resolve to the smallest parameter.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid
+from ._kernels import max_norm_ratio, split
 from .curve import RationalBezierCurve, require_valid
-from .derivative import (
-    build_derivative_form,
-    eval_derivative_explicit_many,
-    sederberg_terms,
-)
+from .derivative import build_derivative_form
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_MIN_WIDTH = 2.0 ** -40
 
 
 @dataclass(frozen=True)
 class MaximizerResult:
-    """Where and how large the derivative peak is, plus search effort."""
+    """The peak max_value = |r'(argmax_t)|, the largest convex-hull bound
+    `upper` over the final pieces, and how many pieces [0, 1] was cut into."""
 
     max_value: float
     argmax_t: float
-    grid_size: int
-    refined: bool
-    iterations: int
+    upper: float
+    pieces: int
 
 
-def _golden_max(f, a: float, b: float, tol: float):
-    """Shrink [a, b] by golden-section steps until narrower than tol.
-
-    Returns the midpoint of the final bracket and the number of
-    objective evaluations spent.
-    """
-    width = b - a
-    if width <= tol:
-        return 0.5 * (a + b), 0
-    steps = int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * width
-    d = a + _INV_PHI * width
-    yc = f(c)
-    yd = f(d)
-    evals = 2
-    for _ in range(steps - 1):
-        if yc > yd:
-            b = d
-            d, yd = c, yc
-            width *= _INV_PHI
-            c = a + _INV_PHI2 * width
-            yc = f(c)
-        else:
-            a = c
-            c, yc = d, yd
-            width *= _INV_PHI
-            d = a + _INV_PHI * width
-            yd = f(d)
-        evals += 1
-    return 0.5 * (a + b), evals
+def _value(row: np.ndarray) -> float:
+    """|r'| at a piece end: the homogeneous row's point norm over its weight."""
+    return max_norm_ratio(row[None, :-1], row[-1:])[0]
 
 
-def maximize_derivative_norm(
-    curve: RationalBezierCurve,
-    grid_size: int = 100_000,
-    tol: float = 1e-10,
-    evaluator: str = "explicit",
-) -> MaximizerResult:
-    """Estimate sup over [0, 1] of the Euclidean norm |r'(t)|.
+def _entry(piece: np.ndarray, a: float, width: float):
+    """Heap entry (-upper, a, width, piece) for the piece over [a, a + width]."""
+    # a power-of-two scale keeps halving from underflowing, and every ratio its bits
+    piece = np.ldexp(piece, -np.frexp(piece[:, -1].max())[1])
+    upper, _ = max_norm_ratio(piece[:, :-1], piece[:, -1])
+    return -upper, a, width, piece
 
-    Scans grid_size + 1 uniform parameters (endpoints included), then
-    golden-section refines the one-cell neighborhood of the best grid
-    point until its width drops below `tol`.  `evaluator` selects which
-    closed form drives the objective: "explicit" (the degree-2n quotient
-    form) or "sederberg" (the compact numerator over the squared weight
-    function); both must agree to rounding.
+
+def maximize_derivative_norm(curve: RationalBezierCurve, tol: float = 1e-10) -> MaximizerResult:
+    """Enclose sup over [0, 1] of the Euclidean norm |r'(t)|.
+
+    Stops once upper - max_value <= tol * max_value (at once where r' is
+    zero), or when the piece with the largest bound is 2^-40 wide.
     """
     require_valid(curve)
     if curve.degree < 1:
         raise ValueError("derivative of a degree-0 curve (a point) is undefined")
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
-    ts = np.linspace(0.0, 1.0, int(grid_size) + 1)
-    if evaluator == "explicit":
-        form = build_derivative_form(curve)
-
-        def many(values):
-            d = eval_derivative_explicit_many(form, values)
-            return np.sqrt((d * d).sum(axis=1))
-
-    elif evaluator == "sederberg":
-        numerator = sederberg_terms(curve)
-        wcol = curve.weights[:, None]
-
-        def many(values):
-            num = decasteljau_grid(numerator.terms, values)
-            w = decasteljau_grid(wcol, values)[:, 0]
-            return np.sqrt((num * num).sum(axis=1)) / (w * w)
-
-    else:
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-
-    norms = many(ts)
-    best = int(np.argmax(norms))
-    cell = 1.0 / grid_size
-    lo = max(0.0, ts[best] - cell)
-    hi = min(1.0, ts[best] + cell)
-
-    def g(t: float) -> float:
-        return float(many(np.array([t]))[0])
-
-    t_mid, evals = _golden_max(g, lo, hi, tol)
-    refined_value = g(t_mid)
-    if refined_value >= norms[best]:
-        value, argmax_t = refined_value, t_mid
-    else:
-        value, argmax_t = float(norms[best]), float(ts[best])
-    return MaximizerResult(
-        max_value=value,
-        argmax_t=argmax_t,
-        grid_size=int(grid_size),
-        refined=True,
-        iterations=evals + 1,
-    )
+    root = build_derivative_form(curve).homogeneous()
+    best, argmax_t = _value(root[0]), 0.0
+    if _value(root[-1]) > best:
+        best, argmax_t = _value(root[-1]), 1.0
+    heap = [_entry(root, 0.0, 1.0)]
+    pieces = 1
+    while -heap[0][0] - best > tol * best and heap[0][2] > _MIN_WIDTH:
+        _, a, width, piece = heapq.heappop(heap)
+        left, right = split(piece)
+        half = 0.5 * width
+        mid = _value(left[-1])
+        if mid > best:
+            best, argmax_t = mid, a + half
+        heapq.heappush(heap, _entry(left, a, half))
+        heapq.heappush(heap, _entry(right, a + half, half))
+        pieces += 1
+    return MaximizerResult(max_value=best, argmax_t=argmax_t, upper=-heap[0][0], pieces=pieces)

@@ -62,7 +62,7 @@ def criterion(name):
 def test_criterion_1_degree_11_counterexample():
     with criterion("1 degree-11 counterexample"):
         start = time.perf_counter()
-        row = table1_row(11, e=1000, grid_size=100_000, tol=1e-10)
+        row = table1_row(11, e=1000, tol=1e-10)
         elapsed = time.perf_counter() - start
         assert abs(row.max_first_derivative - 22.152423) <= 1e-4
         assert abs(row.argmax_t - 0.888645) <= 1e-4
@@ -74,7 +74,7 @@ def test_criterion_1_degree_11_counterexample():
 def test_criterion_2_full_degree_sweep():
     with criterion("2 full degree sweep 2..20"):
         start = time.perf_counter()
-        rows = run_table1(2, 20, e=1000, grid_size=100_000, tol=1e-10)
+        rows = run_table1(2, 20, e=1000, tol=1e-10)
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"took {elapsed:.2f}s"
         assert [r.degree for r in rows] == list(range(2, 21))

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ratbez import counterexample_family, eval_point, load_curve, save_curve
+from ratbez import RationalBezierCurve, counterexample_family, eval_point, load_curve, save_curve
 from ratbez.cli import main
 
 
@@ -133,6 +133,15 @@ def test_bound_elevation_without_elevating(fam11_file, capsys):
     assert value >= 22.285016 - 1e-6
 
 
+def test_bound_past_the_float_range_exits_2(tmp_path, capsys):
+    # the degree-1040 form needs binomials past the float range
+    path = tmp_path / "big.json"
+    n = 520
+    save_curve(RationalBezierCurve([(float(i), 0.0) for i in range(n + 1)], [1.0] * (n + 1)), str(path))
+    assert main(["bound", str(path), "--method", "elevation", "--e", "0"]) == 2
+    assert "float range" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # maximize
 
@@ -150,16 +159,27 @@ def test_maximize_quadratic_peak_exact_text(fam2_file, capsys):
     assert capsys.readouterr().out.strip() == "2.666667 @ t=0.500000"
 
 
-@pytest.mark.parametrize("weights", [[1e200] * 3, [1e-200, 1.0, 1e-200]])
-def test_maximize_out_of_range_weights_exit_2(weights, tmp_path, capsys):
+def _quadratic_file(tmp_path, weights):
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps({
         "degree": 2, "points": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], "weights": weights,
     }))
-    assert main(["maximize", str(path)]) == 2
+    return str(path)
+
+
+@pytest.mark.parametrize("weights", [[1e-200, 1.0, 1.0], [1e-200, 1.0, 1e-200]])
+def test_maximize_out_of_range_weights_exit_2(weights, tmp_path, capsys):
+    assert main(["maximize", _quadratic_file(tmp_path, weights)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "squared weight" in captured.err
+
+
+def test_maximize_huge_common_weight_matches_unit_weights(tmp_path, capsys):
+    assert main(["maximize", _quadratic_file(tmp_path, [1e200] * 3)]) == 0
+    assert capsys.readouterr().out.strip() == "2.828427 @ t=0.000000"
+    assert main(["maximize", _quadratic_file(tmp_path, [1.0] * 3)]) == 0
+    assert capsys.readouterr().out.strip() == "2.828427 @ t=0.000000"
 
 
 def test_maximize_rejects_bad_tol(fam11_file, capsys):
@@ -174,7 +194,7 @@ def test_table1_writes_csv_and_summary(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = main([
         "table1", "--n-min", "10", "--n-max", "12",
-        "--e", "200", "--grid", "20000", "--out", str(out_csv),
+        "--e", "200", "--out", str(out_csv),
     ])
     assert code == 0
     summary = capsys.readouterr().out.strip()
@@ -190,7 +210,7 @@ def test_table1_no_violations_summary(tmp_path, capsys):
     out_csv = tmp_path / "low.csv"
     code = main([
         "table1", "--n-min", "2", "--n-max", "3",
-        "--e", "20", "--grid", "2000", "--out", str(out_csv),
+        "--e", "20", "--out", str(out_csv),
     ])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0 violations"
@@ -203,7 +223,7 @@ def test_table1_bad_range(tmp_path, capsys):
 def test_table1_unwritable_output_is_io_error(fam11_file, capsys, tmp_path):
     code = main([
         "table1", "--n-min", "2", "--n-max", "2", "--e", "10",
-        "--grid", "2000", "--out", str(tmp_path / "no-such-dir" / "x.csv"),
+        "--out", str(tmp_path / "no-such-dir" / "x.csv"),
     ])
     assert code == 3
 
@@ -233,7 +253,7 @@ def test_plot_table_kinds(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     assert main([
         "table1", "--n-min", "2", "--n-max", "4",
-        "--e", "20", "--grid", "2000", "--out", str(csv_path),
+        "--e", "20", "--out", str(csv_path),
     ]) == 0
     for kind in ("bound_comparison", "runtime"):
         out_svg = tmp_path / f"{kind}.svg"

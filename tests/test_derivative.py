@@ -77,12 +77,39 @@ def test_degree_zero_curve_rejected():
         build_derivative_form(point)
 
 
-@pytest.mark.parametrize("weights", [[1e200] * 3, [1e-200, 1.0, 1e-200]])
+@pytest.mark.parametrize("weights", [[1e-200, 1.0, 1.0], [1e-200, 1.0, 1e-200]])
 def test_out_of_range_squared_weights_rejected(weights):
-    # w^2 overflows to inf, or underflows to 0 at an end coefficient
+    # after division by the largest weight, W_0 = w_0^2 underflows to 0
     curve = RationalBezierCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], weights)
     with pytest.raises(ValueError, match="squared weight"):
         build_derivative_form(curve)
+
+
+def test_common_weight_scale_is_divided_out():
+    # weights [1e200] * 3 give the same form as weights 1, whose r' peaks at 2 sqrt(2)
+    points = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
+    huge = build_derivative_form(RationalBezierCurve(points, [1e200] * 3))
+    unit = build_derivative_form(RationalBezierCurve(points, [1.0] * 3))
+    assert np.array_equal(huge.homogeneous(), unit.homogeneous())
+    assert elevation_bound(huge, 100).value == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
+
+
+def _uniform_line(n):
+    return RationalBezierCurve([(float(i), 0.0) for i in range(n + 1)], [1.0] * (n + 1))
+
+
+def test_forms_past_degree_514_raise_value_error():
+    # C(1030, 515) is past the float range; C(1028, 514) is not
+    assert build_derivative_form(_uniform_line(514)).degree == 1028
+    with pytest.raises(ValueError, match="float range"):
+        build_derivative_form(_uniform_line(515))
+
+
+def test_non_finite_sederberg_terms_raise_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        sederberg_terms(_uniform_line(514))
+    with pytest.raises(ValueError, match="float range"):
+        sederberg_terms(RationalBezierCurve([(0.0,), (1.0,), (2.0,)], [1e200] * 3))
 
 
 def test_overflowing_numerator_rejected():

@@ -32,8 +32,8 @@ def test_family_needs_degree_two():
 
 
 def test_conjecture_verdict_sign_change():
-    holds = conjecture_verdict(counterexample_family(10), grid_size=20000)
-    violated = conjecture_verdict(counterexample_family(11), grid_size=20000)
+    holds = conjecture_verdict(counterexample_family(10))
+    violated = conjecture_verdict(counterexample_family(11))
     assert holds.verdict == "holds"
     assert holds.margin > 0.0
     assert violated.verdict == "violated"
@@ -41,7 +41,7 @@ def test_conjecture_verdict_sign_change():
 
 
 def test_table1_row_fields():
-    row = table1_row(3, e=50, grid_size=5000)
+    row = table1_row(3, e=50)
     assert row.degree == 3
     assert row.elevation_steps == 50
     assert 0.0 <= row.runtime_seconds < 60.0
@@ -56,11 +56,11 @@ def test_run_table1_range_validation():
     with pytest.raises(ValueError):
         run_table1(5, 4)
     with pytest.raises(ValueError):
-        run_table1(2, 31)
+        run_table1(2, 515)
 
 
 def test_csv_header_and_formatting():
-    rows = [table1_row(n, e=10, grid_size=2000) for n in (2, 3)]
+    rows = [table1_row(n, e=10) for n in (2, 3)]
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -76,7 +76,7 @@ def test_csv_header_and_formatting():
 
 
 def test_csv_round_trip(tmp_path):
-    rows = [table1_row(n, e=10, grid_size=2000) for n in (2, 3, 4)]
+    rows = [table1_row(n, e=10) for n in (2, 3, 4)]
     path = tmp_path / "table.csv"
     write_table1_csv(rows, str(path))
     back = read_table1_csv(str(path))
@@ -111,6 +111,6 @@ def test_read_csv_rejects_empty_table(tmp_path):
 
 
 def test_run_table1_small_sweep():
-    rows = run_table1(2, 4, e=20, grid_size=2000)
+    rows = run_table1(2, 4, e=20)
     assert [r.degree for r in rows] == [2, 3, 4]
     assert all(r.verdict == "holds" for r in rows)

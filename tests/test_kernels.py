@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ratbez import _kernels
-from ratbez._kernels import decasteljau_grid, elevate_chain, max_norm_ratio
+from ratbez._kernels import decasteljau_grid, elevate_chain, max_norm_ratio, split
 
 from oracles import basis_value
 
@@ -124,3 +124,17 @@ def test_max_norm_ratio_matches_reference_bitwise():
         ref = _kernels._np_max_norm_ratio(nums, wts, p)
         assert got[0] == ref[0]
         assert got[1] == ref[1]
+
+
+def test_split_halves_reproduce_the_coefficients():
+    rng = np.random.default_rng(15)
+    for rows, cols in [(1, 2), (2, 1), (9, 3), (41, 4)]:
+        coeffs = _random_coeffs(rng, rows, cols)
+        left, right = split(coeffs)
+        assert np.array_equal(left[0], coeffs[0])
+        assert np.array_equal(right[-1], coeffs[-1])
+        assert np.array_equal(left[-1], right[0])
+        s = rng.uniform(0.0, 1.0, size=9)
+        whole = decasteljau_grid(coeffs, np.concatenate([s / 2.0, (1.0 + s) / 2.0]))
+        halves = np.vstack([decasteljau_grid(left, s), decasteljau_grid(right, s)])
+        assert np.allclose(halves, whole, rtol=1e-12, atol=1e-12)

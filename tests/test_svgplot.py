@@ -101,7 +101,7 @@ def test_derivative_norm_without_overlay():
 
 
 def test_bound_comparison_has_three_series():
-    rows = [table1_row(n, e=10, grid_size=2000) for n in (2, 3, 4)]
+    rows = [table1_row(n, e=10) for n in (2, 3, 4)]
     svg = plot_bound_comparison_svg(rows)
     series = _polylines(svg)
     assert set(series) == {"measured peak", "conjectured bound", "elevation bound"}
@@ -110,7 +110,7 @@ def test_bound_comparison_has_three_series():
 
 
 def test_runtime_plot_single_series():
-    rows = [table1_row(n, e=10, grid_size=2000) for n in (2, 3)]
+    rows = [table1_row(n, e=10) for n in (2, 3)]
     svg = plot_runtime_svg(rows)
     series = _polylines(svg)
     assert set(series) == {"runtime"}
@@ -125,7 +125,7 @@ def test_empty_rows_rejected():
 
 def test_render_plot_dispatch_requires_matching_input():
     curve = counterexample_family(2)
-    rows = [table1_row(2, e=10, grid_size=2000)]
+    rows = [table1_row(2, e=10)]
     with pytest.raises(ValueError, match="needs a curve"):
         render_plot(PlotSpec("curve", "x.svg"))
     with pytest.raises(ValueError, match="needs results-table rows"):
