@@ -14,11 +14,11 @@ import argparse
 import sys
 
 from .bounds import conjecture_bound, elevation_bound
-from .curve import eval_point, load_curve, require_valid
+from .curve import eval_point, load_curve
 from .derivative import build_derivative_form
 from .experiments import read_table1_csv, run_table1, write_table1_csv
 from .maximize import maximize_derivative_norm
-from .svgplot import PLOT_KINDS, PlotSpec, render_plot
+from .svgplot import PLOT_KINDS, PlotSpec, write_plot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +68,6 @@ def _norm_order(text: str) -> float:
 
 def cmd_eval(args) -> int:
     curve = load_curve(args.curve)
-    require_valid(curve)
     point = eval_point(curve, args.t)
     print(" ".join(f"{v:.12g}" for v in point))
     return 0
@@ -76,7 +75,6 @@ def cmd_eval(args) -> int:
 
 def cmd_bound(args) -> int:
     curve = load_curve(args.curve)
-    require_valid(curve)
     p = _norm_order(args.p_norm)
     if args.method == "conjecture":
         report = conjecture_bound(curve, p)
@@ -93,7 +91,6 @@ def cmd_bound(args) -> int:
 
 def cmd_maximize(args) -> int:
     curve = load_curve(args.curve)
-    require_valid(curve)
     result = maximize_derivative_norm(curve, tol=args.tol)
     print(f"{result.max_value:.6f} @ t={result.argmax_t:.6f}")
     return 0
@@ -124,15 +121,9 @@ def cmd_plot(args) -> int:
         overlay_bound=args.overlay_bound,
     )
     if spec.kind in ("curve", "derivative_norm"):
-        curve = load_curve(args.input)
-        require_valid(curve)
-        svg = render_plot(spec, curve=curve)
+        write_plot(spec, curve=load_curve(args.input))
     else:
-        rows = read_table1_csv(args.input)
-        svg = render_plot(spec, rows=rows)
-    with open(spec.output_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-        fh.write("\n")
+        write_plot(spec, rows=read_table1_csv(args.input))
     return 0
 
 

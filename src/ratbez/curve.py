@@ -22,33 +22,33 @@ import numpy as np
 
 from ._kernels import decasteljau_grid, elevate_chain
 
-_INT64_MAX = 2**63 - 1
-
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) as a Python int.
 
-    Raises ValueError for negative arguments or k > n, and OverflowError
-    when the value exceeds the signed 64-bit range (first possible at
-    n = 62; every n <= 61 is safe).
+    Raises ValueError for negative arguments or k > n.
     """
     if n < 0 or k < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"binomial upper index exceeded: k={k} > n={n}")
-    value = math.comb(n, k)
-    if value > _INT64_MAX:
-        raise OverflowError(f"binomial({n}, {k}) exceeds the 64-bit integer range")
-    return value
+    return math.comb(n, k)
 
 
 def bernstein(n: int, i: int, t: float) -> float:
-    """Bernstein basis value B_i^n(t) = C(n, i) t^i (1 - t)^(n - i)."""
+    """Bernstein basis value B_i^n(t) = C(n, i) t^i (1 - t)^(n - i).
+
+    Raises ValueError where C(n, i) exceeds the float range.
+    """
     if not 0 <= i <= n:
         raise ValueError(f"basis index out of range: i={i}, n={n}")
     _check_t(t)
+    try:
+        coef = float(binomial(n, i))
+    except OverflowError:
+        raise ValueError(f"binomial({n}, {i}) exceeds the float range") from None
     # Python's float power gives 0.0 ** 0 == 1.0, matching the convention
-    return binomial(n, i) * t**i * (1.0 - t) ** (n - i)
+    return coef * t**i * (1.0 - t) ** (n - i)
 
 
 def _check_t(t: float) -> float:

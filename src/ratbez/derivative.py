@@ -52,36 +52,43 @@ class SederbergNumerator:
 class DerivativeForm:
     """Explicit degree-2n rational representation of r'(t).
 
-    weights            Bernstein coefficients of w(t)^2 (2n + 1 values)
-    numerator_points   points N_i with r'(t) = n * sum N_i B_i / sum weights_i B_i
-    control_points     Q_i = n * N_i / weights_i, the derivative's own
+    `rows` holds the 2n + 1 homogeneous rows (n * N_i | W_i), read-only,
+    with r'(t) = sum n N_i B_i / sum W_i B_i.  The properties below are
+    read off it:
+
+    weights            W_i, Bernstein coefficients of w(t)^2
+    numerator_points   N_i, the product-rule numerator points
+    control_points     Q_i = n * N_i / W_i, the derivative's own
                        rational control points
-    intermediate_points degree-(2n-1) numerator points before the one
-                       elevation step that aligns numerator and denominator
     """
 
     source_degree: int
-    weights: np.ndarray
-    numerator_points: np.ndarray
-    control_points: np.ndarray
-    intermediate_points: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        for name in ("weights", "numerator_points", "control_points", "intermediate_points"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.array(self.rows, dtype=np.float64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "rows", arr)
 
     @property
     def degree(self) -> int:
         return 2 * self.source_degree
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self.rows[:, -1]
+
+    @property
+    def numerator_points(self) -> np.ndarray:
+        return self.rows[:, :-1] / self.source_degree
+
+    @property
+    def control_points(self) -> np.ndarray:
+        return self.rows[:, :-1] / self.rows[:, -1:]
+
     def homogeneous(self) -> np.ndarray:
-        """Stack (n * numerator_points | weights) for rational evaluation."""
-        return np.hstack([
-            self.source_degree * self.numerator_points,
-            self.weights[:, None],
-        ])
+        """The stored rows (n * numerator_points | weights), for rational evaluation."""
+        return self.rows
 
 
 def _require_positive_degree(curve: RationalBezierCurve) -> int:
@@ -102,19 +109,14 @@ def sederberg_terms(curve: RationalBezierCurve) -> SederbergNumerator:
     """
     n = _require_positive_degree(curve)
     p = curve.points
-    w = curve.weights
-    terms = np.zeros((2 * n - 1, curve.dimension))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(2 * n - 1):
-                acc = np.zeros(curve.dimension)
-                for j in range(max(0, i - n + 1), i // 2 + 1):
-                    k = i - j + 1
-                    coef = (i - 2 * j + 1) * math.comb(n, j) * math.comb(n, k)
-                    acc += (coef * w[j] * w[k]) * (p[k] - p[j])
-                terms[i] = acc / math.comb(2 * n - 2, i)
-    except OverflowError:
-        terms[:] = np.inf
+    cw = _binomials(n) * curve.weights
+    terms = np.empty((2 * n - 1, curve.dimension))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2 * n - 1):
+            j = np.arange(max(0, i - n + 1), i // 2 + 1)
+            k = i - j + 1
+            terms[i] = ((i - 2 * j + 1) * cw[j] * cw[k]) @ (p[k] - p[j])
+        terms /= _binomials(2 * n - 2)[:, None]
     if not np.isfinite(terms).all():
         raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
     return SederbergNumerator(2 * n - 2, terms)
@@ -182,31 +184,23 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     """Assemble the explicit degree-2n rational form of r'(t).
 
     The degree-(2n-1) numerator points are elevated once so numerator and
-    squared-weight denominator share degree 2n; dividing componentwise by
-    the weights then yields the derivative's rational control points.
-    The weights are first divided by their maximum, which leaves r' as it
-    is.  Raises ValueError when a squared-weight coefficient underflows,
-    a numerator point overflows, or the degree is past 514.
+    squared-weight denominator share degree 2n, and the form stores them
+    beside the weights as the rows (n * N_i | W_i).  The weights are first
+    divided by their maximum, which leaves r' as it is.  Raises ValueError
+    when a squared-weight coefficient underflows, a numerator row
+    overflows, or the degree is past 514.
     """
     n = _require_positive_degree(curve)
     curve = RationalBezierCurve(curve.points, curve.weights / curve.weights.max())
     # out-of-range values are caught below, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         wts = derivative_weights(curve)
-        inter = intermediate_points(curve)
-        elevated = elevate_chain(inter, 1)
+        numerator = n * elevate_chain(intermediate_points(curve), 1)
     if not (wts > 0.0).all():
         raise ValueError("squared weight coefficients underflow to zero; the weight range is too wide")
-    if not np.isfinite(elevated).all():
+    if not np.isfinite(numerator).all():
         raise ValueError("derivative numerator points overflow the float range")
-    control = n * elevated / wts[:, None]
-    return DerivativeForm(
-        source_degree=n,
-        weights=wts,
-        numerator_points=elevated,
-        control_points=control,
-        intermediate_points=inter,
-    )
+    return DerivativeForm(n, np.hstack([numerator, wts[:, None]]))
 
 
 def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:

@@ -51,11 +51,13 @@ def test_binomial_domain_errors():
         binomial(3, -2)
 
 
-def test_binomial_overflow_past_int64():
-    # every n <= 61 fits; the first 64-bit overflow is at C(67, 33)
-    assert binomial(61, 30) > 0
-    with pytest.raises(OverflowError):
-        binomial(67, 33)
+def test_binomial_and_bernstein_past_int64():
+    # C(67, 33) is the first central binomial past 2^63
+    assert binomial(67, 33) == math.comb(67, 33)
+    assert bernstein(67, 33, 0.5) == pytest.approx(math.comb(67, 33) * 2.0**-67, rel=1e-15)
+    # C(1100, 550) is past the float range
+    with pytest.raises(ValueError, match="float range"):
+        bernstein(1100, 550, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def test_derivative_form_shapes():
     assert form.weights.shape == (7,)
     assert form.numerator_points.shape == (7, 2)
     assert form.control_points.shape == (7, 2)
-    assert form.intermediate_points.shape == (6, 2)
+    assert form.homogeneous().shape == (7, 3)
+    assert form.homogeneous() is form.homogeneous()
+    assert not form.homogeneous().flags.writeable
 
 
 def test_sederberg_terms_line_segment():
@@ -179,15 +181,17 @@ def test_intermediate_points_match_product_rule_numerator():
 
 
 def test_numerator_points_are_elevated_intermediates():
+    # the form stores n * N; dividing by n again may move a value by one ulp
     curve = counterexample_family(5)
-    form = build_derivative_form(curve)
-    inter = form.intermediate_points
+    n = curve.degree
+    rows = build_derivative_form(curve).homogeneous()[:, :-1]
+    inter = intermediate_points(curve)
     m = inter.shape[0] - 1  # degree 2n - 1
     lam = (np.arange(1, m + 1) / (m + 1.0))[:, None]
     expected_interior = lam * inter[:-1] + (1.0 - lam) * inter[1:]
-    assert np.array_equal(form.numerator_points[0], inter[0])
-    assert np.array_equal(form.numerator_points[-1], inter[-1])
-    assert np.allclose(form.numerator_points[1:-1], expected_interior, rtol=1e-15)
+    assert np.array_equal(rows[0], n * inter[0])
+    assert np.array_equal(rows[-1], n * inter[-1])
+    assert np.allclose(rows[1:-1], n * expected_interior, rtol=1e-15)
 
 
 def test_control_points_identity():

@@ -1,4 +1,4 @@
-"""Kernels: the public wrappers against their numpy bodies and oracles."""
+"""Kernels against independent oracles: basis sums, product formulas and numpy norms."""
 
 import numpy as np
 import pytest
@@ -15,16 +15,6 @@ def _random_coeffs(rng, rows, cols):
 
 def test_backend_flag_consistency():
     assert _kernels.BACKEND == "numpy"
-
-
-def test_grid_matches_numpy_reference_bitwise():
-    rng = np.random.default_rng(7)
-    for rows, cols in [(2, 1), (5, 3), (23, 4), (41, 2)]:
-        coeffs = _random_coeffs(rng, rows, cols)
-        ts = rng.uniform(0.0, 1.0, size=257)
-        got = decasteljau_grid(coeffs, ts)
-        ref = _kernels._np_decasteljau_grid(coeffs, ts)
-        assert np.array_equal(got, ref)
 
 
 def test_grid_matches_basis_summation():
@@ -51,7 +41,7 @@ def test_grid_crosses_chunk_boundary():
     coeffs = _random_coeffs(rng, 4, 2)
     ts = np.linspace(0.0, 1.0, 8192 + 100)
     got = decasteljau_grid(coeffs, ts)
-    ref = _kernels._np_decasteljau_grid(coeffs, ts)
+    ref = np.vstack([decasteljau_grid(coeffs, ts[:8192]), decasteljau_grid(coeffs, ts[8192:])])
     assert np.array_equal(got, ref)
     assert got.shape == (8292, 2)
 
@@ -61,16 +51,6 @@ def test_grid_rejects_bad_shapes():
         decasteljau_grid(np.zeros((2, 2, 2)), np.array([0.5]))
     with pytest.raises(ValueError):
         decasteljau_grid(np.zeros((0, 2)), np.array([0.5]))
-
-
-def test_elevate_matches_numpy_reference_bitwise():
-    rng = np.random.default_rng(11)
-    for rows, cols, steps in [(2, 2, 1), (5, 3, 17), (11, 4, 200)]:
-        coeffs = _random_coeffs(rng, rows, cols)
-        got = elevate_chain(coeffs, steps)
-        ref = _kernels._np_elevate_chain(coeffs, steps)
-        assert got.shape == (rows + steps, cols)
-        assert np.array_equal(got, ref)
 
 
 def test_elevate_zero_steps_copies():
@@ -113,17 +93,6 @@ def test_max_norm_ratio_ties_take_first_index():
     value, idx = max_norm_ratio(nums, wts, 2.0)
     assert value == pytest.approx(5.0)
     assert idx == 0
-
-
-def test_max_norm_ratio_matches_reference_bitwise():
-    rng = np.random.default_rng(14)
-    nums = _random_coeffs(rng, 31, 4)
-    wts = rng.uniform(0.25, 4.0, size=31)
-    for p in (1.0, 2.0, float("inf")):
-        got = max_norm_ratio(nums, wts, p)
-        ref = _kernels._np_max_norm_ratio(nums, wts, p)
-        assert got[0] == ref[0]
-        assert got[1] == ref[1]
 
 
 def test_split_halves_reproduce_the_coefficients():
