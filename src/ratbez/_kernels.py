@@ -4,8 +4,11 @@ norm-over-weight scan.
 
 Each kernel is one vectorized numpy body.  ``decasteljau_grid``,
 ``elevate_chain`` and ``max_norm_ratio`` check their arguments and
-coerce them to contiguous float64 first; ``split`` takes the maximizer's
-own arrays as they are.  ``BACKEND`` names the implementation.
+coerce them to float64 first; ``split`` takes the maximizer's own arrays
+as they are.  ``elevate_chain`` works coordinate-major: each coordinate
+is one contiguous row of a buffer sized for the whole chain, updated in
+place with ``out=`` ufuncs, and it returns that buffer transposed.
+``BACKEND`` names the implementation.
 """
 
 from __future__ import annotations
@@ -66,30 +69,49 @@ def split(coeffs: np.ndarray):
     return left, right
 
 
+def _step_count(steps) -> int:
+    """`steps` as a Python int; ValueError unless it is a Python or numpy
+    integer (a bool or a float is refused, even 2.0)."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"step count must be an integer, got {steps!r}")
+    return int(steps)
+
+
 def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
     """Degree-elevate a (m+1, k) coefficient array `steps` times.
 
-    Each step is the standard convex-combination elevation, so the result
-    represents the same function with degree m + steps.
+    Each step is the standard convex-combination elevation
+    c'_i = lam c_{i-1} + (1 - lam) c_i with lam = i / (m+1), so the result
+    represents the same function with degree m + steps.  The chain runs in
+    place on one coordinate-major (k, m+1+steps) buffer and allocates
+    nothing per step; the result is that buffer's transpose, a new
+    (m+1+steps, k) array that never aliases `coeffs`.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2:
         raise ValueError("coeffs must be 2-d (rows of coefficients)")
     if coeffs.shape[0] < 1:
         raise ValueError("empty coefficient array")
+    steps = _step_count(steps)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    steps = int(steps)
     m1, k = coeffs.shape
-    out = np.empty((m1 + steps, k))
-    out[:m1] = coeffs
-    cur = m1
-    for _ in range(steps):
-        lam = (np.arange(1, cur) / float(cur))[:, None]
-        out[cur] = out[cur - 1]
-        out[1:cur] = lam * out[: cur - 1] + (1.0 - lam) * out[1:cur]
-        cur += 1
-    return out[:cur]
+    size = m1 + steps
+    out = np.empty((k, size))
+    out[:, :m1] = coeffs.T
+    index = np.arange(1.0, size)
+    lam, rest, scratch = np.empty(size - 1), np.empty(size - 1), np.empty((k, size - 1))
+    for cur in range(m1, size):
+        i = cur - 1
+        lam_i, rest_i, left, right = lam[:i], rest[:i], scratch[:, :i], out[:, 1:cur]
+        np.divide(index[:i], cur, out=lam_i)
+        np.subtract(1.0, lam_i, out=rest_i)
+        out[:, cur] = out[:, i]
+        # the products of the old rows i-1 and i, then their sum in place of row i
+        np.multiply(out[:, :i], lam_i, out=left)
+        np.multiply(right, rest_i, out=right)
+        np.add(left, right, out=right)
+    return out.T
 
 
 def max_norm_ratio(nums: np.ndarray, wts: np.ndarray, p: float = 2.0):

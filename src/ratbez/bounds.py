@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, elevate_chain, max_norm_ratio
+from ._kernels import _rowwise_norm, _step_count, elevate_chain, max_norm_ratio
 from .curve import RationalBezierCurve, require_valid
 from .derivative import DerivativeForm
 
@@ -81,9 +81,10 @@ def elevation_bound(form: DerivativeForm, e: int = 0, p=2) -> BoundReport:
     The numerator points and weight coefficients of the explicit
     derivative form are elevated together, so the quotient they define
     is unchanged while the coefficient-wise ratio tightens toward
-    sup |r'(t)|_p.
+    sup |r'(t)|_p.  Raises ValueError unless `e` is a nonnegative integer.
     """
     p = _check_p(p)
+    e = _step_count(e)
     if e < 0:
         raise ValueError("elevation step count must be nonnegative")
     stacked = elevate_chain(form.homogeneous(), e)
@@ -101,10 +102,11 @@ def bound_profile(form: DerivativeForm, e_list, p=2) -> list[tuple[int, float]]:
     """Elevation bound at each step count in ascending `e_list`.
 
     Elevation proceeds incrementally between entries, so a long profile
-    costs one chain of max(e_list) steps.
+    costs one chain of max(e_list) steps.  Raises ValueError unless every
+    entry is a nonnegative integer.
     """
     p = _check_p(p)
-    steps = [int(e) for e in e_list]
+    steps = [_step_count(e) for e in e_list]
     if not steps:
         return []
     if any(e < 0 for e in steps):

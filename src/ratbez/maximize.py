@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import max_norm_ratio, split
-from .curve import RationalBezierCurve, require_valid
-from .derivative import build_derivative_form
+from .curve import RationalBezierCurve
+from .derivative import DerivativeForm, build_derivative_form
 
 _MIN_WIDTH = 2.0 ** -40
 
@@ -47,19 +47,21 @@ def _entry(piece: np.ndarray, a: float, width: float):
     return -upper, a, width, piece
 
 
-def maximize_derivative_norm(curve: RationalBezierCurve, tol: float = 1e-10) -> MaximizerResult:
+def maximize_derivative_norm(
+    curve: RationalBezierCurve | DerivativeForm, tol: float = 1e-10
+) -> MaximizerResult:
     """Enclose sup over [0, 1] of the Euclidean norm |r'(t)|.
 
-    Stops once upper - max_value <= tol * max_value (at once where r' is
-    zero), or when the piece with the largest bound is 2^-40 wide.
+    Takes the curve, or its derivative form as `build_derivative_form`
+    returns it (then used as is, without a second build).  Stops once
+    upper - max_value <= tol * max_value (at once where r' is zero), or
+    when the piece with the largest bound is 2^-40 wide.
     """
-    require_valid(curve)
-    if curve.degree < 1:
-        raise ValueError("derivative of a degree-0 curve (a point) is undefined")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-
-    root = build_derivative_form(curve).homogeneous()
+    # build_derivative_form validates the curve and refuses degree 0
+    form = curve if isinstance(curve, DerivativeForm) else build_derivative_form(curve)
+    root = form.homogeneous()
     best, argmax_t = _value(root[0]), 0.0
     if _value(root[-1]) > best:
         best, argmax_t = _value(root[-1]), 1.0

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's evaluation paths:
 binomials come from an additive Pascal triangle, curve values from
 direct basis summation, elevated coefficients from the one-shot
-binomial-product formula, and the degree-11 family fixture from its
+binomial-product formula (and, for bitwise checks, from the textbook
+row-major elevation step), and the degree-11 family fixture from its
 explicit rational-function form.
 """
 
@@ -54,6 +55,17 @@ def elevation_product_coeffs(values, e: int) -> np.ndarray:
         for j in range(max(0, i - e), min(m, i) + 1):
             out[i] = out[i] + (pascal_binomial(m, j) * pascal_binomial(e, i - j) / denom) * arr[j]
     return out
+
+
+def elevate_chain_reference(values, steps: int) -> np.ndarray:
+    """`steps` textbook row-major elevation steps: each builds a new array
+    c[0], lam c[:-1] + (1 - lam) c[1:], c[-1] with lam = arange(1, cur)/cur."""
+    c = np.array(values, dtype=np.float64)
+    for _ in range(steps):
+        cur = c.shape[0]
+        lam = (np.arange(1, cur) / cur)[:, None]
+        c = np.vstack([c[:1], lam * c[:-1] + (1.0 - lam) * c[1:], c[-1:]])
+    return c
 
 
 def random_curve(rng: np.random.Generator, n: int, d: int) -> RationalBezierCurve:

@@ -191,6 +191,16 @@ def test_elevation_bound_rejects_negative_steps():
         elevation_bound(form, -1)
 
 
+def test_elevation_bound_rejects_non_integer_steps():
+    form = build_derivative_form(counterexample_family(2))
+    for e in (2.5, 2.0, np.float64(1.0), True):
+        with pytest.raises(ValueError, match="integer"):
+            elevation_bound(form, e)
+    report = elevation_bound(form, np.int64(2))
+    assert report.elevation_steps == 2 and type(report.elevation_steps) is int
+    assert report.value == elevation_bound(form, 2).value
+
+
 # ---------------------------------------------------------------------------
 # bound profile
 
@@ -208,6 +218,14 @@ def test_bound_profile_argument_checking():
         bound_profile(form, [0, 5, 5])
     with pytest.raises(ValueError, match="nonnegative"):
         bound_profile(form, [-2, 5])
+
+
+def test_bound_profile_rejects_non_integer_steps():
+    form = build_derivative_form(counterexample_family(2))
+    for e_list in ([1.5, 2.7], [0, 2.0], [False, 3], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="integer"):
+            bound_profile(form, e_list)
+    assert bound_profile(form, np.array([1, 2])) == bound_profile(form, [1, 2])
 
 
 def test_family_elevation_bound_sits_between_peak_and_conjecture_for_low_degrees():

@@ -50,6 +50,28 @@ def test_table1_row_fields():
     assert row.elevation_bound >= row.max_first_derivative - 1e-9
 
 
+def test_table1_row_builds_the_form_once(monkeypatch):
+    import ratbez.experiments
+    import ratbez.maximize
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counting("form", ratbez.experiments.build_derivative_form)
+    monkeypatch.setattr(ratbez.experiments, "build_derivative_form", build)
+    monkeypatch.setattr(ratbez.maximize, "build_derivative_form", build)
+    monkeypatch.setattr(ratbez.experiments, "maximize_derivative_norm",
+                        counting("maximize", ratbez.experiments.maximize_derivative_norm))
+    row = table1_row(11, e=20)
+    assert sorted(calls) == ["form", "maximize"]
+    assert row.verdict == "violated"
+
+
 def test_run_table1_range_validation():
     with pytest.raises(ValueError):
         run_table1(1, 5)

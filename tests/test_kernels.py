@@ -1,12 +1,13 @@
-"""Kernels against independent oracles: basis sums, product formulas and numpy norms."""
+"""Kernels against independent oracles: basis sums, product formulas, the
+textbook elevation step and numpy norms."""
 
 import numpy as np
 import pytest
 
-from ratbez import _kernels
+from ratbez import _kernels, build_derivative_form, counterexample_family
 from ratbez._kernels import decasteljau_grid, elevate_chain, max_norm_ratio, split
 
-from oracles import basis_value
+from oracles import basis_value, elevate_chain_reference
 
 
 def _random_coeffs(rng, rows, cols):
@@ -74,6 +75,54 @@ def test_elevate_preserves_values():
 def test_elevate_rejects_negative_steps():
     with pytest.raises(ValueError):
         elevate_chain(np.zeros((2, 1)), -1)
+
+
+def test_elevate_rejects_non_integer_steps():
+    coeffs = np.zeros((2, 1))
+    for steps in (2.5, 2.0, np.float64(3.0), True, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            elevate_chain(coeffs, steps)
+    assert elevate_chain(coeffs, np.int32(3)).shape == (5, 1)
+
+
+def _same_bits(a, b):
+    # tobytes() reads in C order whatever the memory layout
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_elevate_matches_textbook_step_bitwise():
+    rng = np.random.default_rng(16)
+    cases = [(1, 1, 0), (1, 3, 300), (2, 2, 1), (25, 4, 0)]
+    for k in (1, 2, 3, 4):
+        cases += [(int(rng.integers(1, 26)), k, int(rng.integers(0, 301))) for _ in range(6)]
+    for rows, k, steps in cases:
+        coeffs = _random_coeffs(rng, rows, k) * np.exp(rng.uniform(-5.0, 5.0, size=(rows, 1)))
+        got = elevate_chain(coeffs, steps)
+        assert _same_bits(got, elevate_chain_reference(coeffs, steps)), (rows, k, steps)
+
+
+def test_elevate_family_form_to_8000_bitwise():
+    stacked = build_derivative_form(counterexample_family(30)).homogeneous()
+    got = elevate_chain(stacked, 8000)
+    assert got.shape == (61 + 8000, 3)
+    assert _same_bits(got, elevate_chain_reference(stacked, 8000))
+
+
+def test_elevate_layouts_and_dtypes():
+    rng = np.random.default_rng(17)
+    wide = _random_coeffs(rng, 3, 9)
+    ref = elevate_chain_reference(wide.T, 40)
+    # a transposed (F-ordered) input and a strided column slice
+    assert _same_bits(elevate_chain(wide.T, 40), ref)
+    assert _same_bits(elevate_chain(wide.T[:, 1:3], 40), ref[:, 1:3])
+    ints = np.array([[1, -2], [3, 4], [0, 7]])
+    assert _same_bits(elevate_chain(ints, 12), elevate_chain_reference(ints, 12))
+    for coeffs in (wide.T, np.ascontiguousarray(wide.T)):
+        before = coeffs.copy()
+        out = elevate_chain(coeffs, 5)
+        assert not np.shares_memory(out, coeffs)
+        out[:] = 0.0
+        assert np.array_equal(coeffs, before)
 
 
 def test_max_norm_ratio_against_numpy_norms():

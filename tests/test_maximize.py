@@ -152,3 +152,16 @@ def test_power_of_two_weight_scale_changes_nothing(n, d, k, seed):
     assert maximize_derivative_norm(scaled) == maximize_derivative_norm(curve)
     assert (elevation_bound(build_derivative_form(scaled), 100).value
             == elevation_bound(build_derivative_form(curve), 100).value)
+
+
+def test_curve_and_its_form_give_equal_results():
+    rng = np.random.default_rng(21)
+    curves = [counterexample_family(n) for n in (2, 11, 20)]
+    for _ in range(10):
+        curves.append(random_curve(rng, int(rng.integers(1, 13)), int(rng.integers(1, 4))))
+    for curve in curves:
+        form = build_derivative_form(curve)
+        assert maximize_derivative_norm(form) == maximize_derivative_norm(curve)
+        assert maximize_derivative_norm(form, tol=1e-4) == maximize_derivative_norm(curve, tol=1e-4)
+    with pytest.raises(ValueError):
+        maximize_derivative_norm(form, tol=0.0)
