@@ -1,7 +1,6 @@
 """Rational Bezier curves: evaluation, closed-form first derivatives,
 derivative-magnitude bounds, and bound-violation experiments."""
 
-from ._kernels import BACKEND
 from .bounds import (
     BoundReport,
     bound_profile,
@@ -10,14 +9,12 @@ from .bounds import (
     weight_ratio,
 )
 from .curve import (
-    BernsteinCoefficients,
     RationalBezierCurve,
     bernstein,
     binomial,
     curve_from_json_obj,
     curve_to_json_obj,
     decasteljau,
-    elevate_once,
     eval_point,
     eval_weight,
     load_curve,
@@ -27,7 +24,6 @@ from .curve import (
 )
 from .derivative import (
     DerivativeForm,
-    SederbergNumerator,
     build_derivative_form,
     derivative_weights,
     eval_derivative_explicit,
@@ -39,8 +35,6 @@ from .derivative import (
 )
 from .experiments import (
     Table1Row,
-    VerdictRecord,
-    conjecture_verdict,
     counterexample_family,
     read_table1_csv,
     run_table1,
@@ -53,28 +47,22 @@ from .svgplot import PlotSpec, render_plot, write_plot
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "BernsteinCoefficients",
     "BoundReport",
     "DerivativeForm",
     "MaximizerResult",
     "PlotSpec",
     "RationalBezierCurve",
-    "SederbergNumerator",
     "Table1Row",
-    "VerdictRecord",
     "bernstein",
     "binomial",
     "bound_profile",
     "build_derivative_form",
     "conjecture_bound",
-    "conjecture_verdict",
     "counterexample_family",
     "curve_from_json_obj",
     "curve_to_json_obj",
     "decasteljau",
     "derivative_weights",
-    "elevate_once",
     "elevation_bound",
     "eval_derivative_explicit",
     "eval_derivative_explicit_many",

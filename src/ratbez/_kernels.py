@@ -8,22 +8,16 @@ coerce them to float64 first; ``split`` takes the maximizer's own arrays
 as they are.  ``elevate_chain`` works coordinate-major: each coordinate
 is one contiguous row of a buffer sized for the whole chain, updated in
 place with ``out=`` ufuncs, and it returns that buffer transposed.
-``BACKEND`` names the implementation.
+Norms are Euclidean throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "numpy"
 
-
-def _rowwise_norm(rows: np.ndarray, p: float) -> np.ndarray:
-    """The p-norm (p = 1, 2 or inf) of every row of a 2-d array."""
-    if p == 1.0:
-        return np.abs(rows).sum(axis=1)
-    if np.isinf(p):
-        return np.abs(rows).max(axis=1)
+def _rowwise_norm(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of a 2-d array."""
     return np.sqrt((rows * rows).sum(axis=1))
 
 
@@ -114,14 +108,14 @@ def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
     return out.T
 
 
-def max_norm_ratio(nums: np.ndarray, wts: np.ndarray, p: float = 2.0):
-    """Return (max_i |nums[i]|_p / wts[i], argmax index), first index on ties."""
+def max_norm_ratio(nums: np.ndarray, wts: np.ndarray):
+    """Return (max_i |nums[i]| / wts[i], argmax index), first index on ties."""
     nums = np.ascontiguousarray(nums, dtype=np.float64)
     wts = np.ascontiguousarray(wts, dtype=np.float64)
     if nums.ndim != 2 or wts.ndim != 1 or nums.shape[0] != wts.shape[0]:
         raise ValueError("nums must be (m, k) and wts (m,)")
     if nums.shape[0] < 1:
         raise ValueError("empty arrays")
-    ratios = _rowwise_norm(nums, float(p)) / wts
+    ratios = _rowwise_norm(nums) / wts
     i = int(np.argmax(ratios))
     return float(ratios[i]), i

@@ -1,4 +1,5 @@
-"""Upper bounds for the derivative magnitude of a rational Bezier curve.
+"""Upper bounds for the Euclidean derivative magnitude of a rational
+Bezier curve.
 
 Two bounds are provided:
 
@@ -21,15 +22,6 @@ from ._kernels import _rowwise_norm, _step_count, elevate_chain, max_norm_ratio
 from .curve import RationalBezierCurve, require_valid
 from .derivative import DerivativeForm
 
-_ALLOWED_P = (1.0, 2.0, float("inf"))
-
-
-def _check_p(p) -> float:
-    p = float(p)
-    if p not in _ALLOWED_P:
-        raise ValueError(f"norm order must be 1, 2, or inf, got {p}")
-    return p
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -42,7 +34,6 @@ class BoundReport:
 
     value: float
     method: str
-    norm_order: float
     elevation_steps: int | None = None
     argmax_index: int | None = None
     weight_ratio: float | None = None
@@ -58,67 +49,49 @@ def weight_ratio(curve: RationalBezierCurve) -> float:
     return float(max(forward.max(), (1.0 / forward).max()))
 
 
-def conjecture_bound(curve: RationalBezierCurve, p=2) -> BoundReport:
-    """Conjectured bound n * W * max_i |p_{i+1} - p_i|_p on sup |r'(t)|_p."""
-    p = _check_p(p)
-    require_valid(curve)
-    if curve.degree < 1:
-        raise ValueError("bound needs at least two control points")
+def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
+    """Conjectured bound n * W * max_i |p_{i+1} - p_i| on sup |r'(t)|.
+
+    The curve is validated once, by `weight_ratio`.
+    """
     ratio = weight_ratio(curve)
-    legs = np.diff(curve.points, axis=0)
-    longest = float(_rowwise_norm(legs, p).max())
-    return BoundReport(
-        value=curve.degree * ratio * longest,
-        method="conjecture",
-        norm_order=p,
-        weight_ratio=ratio,
-    )
+    longest = float(_rowwise_norm(np.diff(curve.points, axis=0)).max())
+    return BoundReport(value=curve.degree * ratio * longest, method="conjecture", weight_ratio=ratio)
 
 
-def elevation_bound(form: DerivativeForm, e: int = 0, p=2) -> BoundReport:
-    """Sound bound max_i |n * N_i|_p / W_i after e joint elevation steps.
+def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
+    """(e, bound, argmax index) at each step count of ascending `e_list`,
+    from one elevation chain of max(e_list) steps."""
+    steps = [_step_count(e) for e in e_list]
+    if any(e < 0 for e in steps):
+        raise ValueError("elevation step counts must be nonnegative")
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("elevation step counts must be strictly increasing")
+    out = []
+    stacked, done = form.homogeneous(), 0
+    for e in steps:
+        stacked, done = elevate_chain(stacked, e - done), e
+        out.append((e, *max_norm_ratio(stacked[:, :-1], stacked[:, -1])))
+    return out
+
+
+def elevation_bound(form: DerivativeForm, e: int = 0) -> BoundReport:
+    """Sound bound max_i |n * N_i| / W_i after e joint elevation steps.
 
     The numerator points and weight coefficients of the explicit
     derivative form are elevated together, so the quotient they define
     is unchanged while the coefficient-wise ratio tightens toward
-    sup |r'(t)|_p.  Raises ValueError unless `e` is a nonnegative integer.
+    sup |r'(t)|.  Raises ValueError unless `e` is a nonnegative integer.
     """
-    p = _check_p(p)
-    e = _step_count(e)
-    if e < 0:
-        raise ValueError("elevation step count must be nonnegative")
-    stacked = elevate_chain(form.homogeneous(), e)
-    value, idx = max_norm_ratio(stacked[:, :-1], stacked[:, -1], p)
-    return BoundReport(
-        value=value,
-        method="elevation",
-        norm_order=p,
-        elevation_steps=e,
-        argmax_index=idx,
-    )
+    [(e, value, idx)] = _elevated(form, [e])
+    return BoundReport(value=value, method="elevation", elevation_steps=e, argmax_index=idx)
 
 
-def bound_profile(form: DerivativeForm, e_list, p=2) -> list[tuple[int, float]]:
+def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """Elevation bound at each step count in ascending `e_list`.
 
     Elevation proceeds incrementally between entries, so a long profile
     costs one chain of max(e_list) steps.  Raises ValueError unless every
     entry is a nonnegative integer.
     """
-    p = _check_p(p)
-    steps = [_step_count(e) for e in e_list]
-    if not steps:
-        return []
-    if any(e < 0 for e in steps):
-        raise ValueError("elevation step counts must be nonnegative")
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("elevation step counts must be strictly increasing")
-    out: list[tuple[int, float]] = []
-    stacked = elevate_chain(form.homogeneous(), steps[0])
-    value, _ = max_norm_ratio(stacked[:, :-1], stacked[:, -1], p)
-    out.append((steps[0], value))
-    for prev, e in zip(steps, steps[1:]):
-        stacked = elevate_chain(stacked, e - prev)
-        value, _ = max_norm_ratio(stacked[:, :-1], stacked[:, -1], p)
-        out.append((e, value))
-    return out
+    return [(e, value) for e, value, _ in _elevated(form, e_list)]

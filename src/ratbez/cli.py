@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which bound to compute (default conjecture)",
     )
     p.add_argument("--e", type=int, default=1000, help="elevation steps (default 1000)")
-    p.add_argument("--p-norm", choices=["1", "2", "inf"], default="2", help="vector norm")
 
     p = sub.add_parser("maximize", help="locate the derivative-magnitude peak")
     p.add_argument("curve", help="curve JSON file, or - for stdin")
@@ -62,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _norm_order(text: str) -> float:
-    return float("inf") if text == "inf" else float(text)
-
-
 def cmd_eval(args) -> int:
     curve = load_curve(args.curve)
     point = eval_point(curve, args.t)
@@ -75,17 +70,13 @@ def cmd_eval(args) -> int:
 
 def cmd_bound(args) -> int:
     curve = load_curve(args.curve)
-    p = _norm_order(args.p_norm)
+    # both bounds are Euclidean; the printed "p=2" keeps the line's format
     if args.method == "conjecture":
-        report = conjecture_bound(curve, p)
-        print(
-            f"conjecture bound: {report.value:.6f} "
-            f"(weight ratio {report.weight_ratio:.6g}, p={args.p_norm})"
-        )
+        report = conjecture_bound(curve)
+        print(f"conjecture bound: {report.value:.6f} (weight ratio {report.weight_ratio:.6g}, p=2)")
     else:
-        form = build_derivative_form(curve)
-        report = elevation_bound(form, args.e, p)
-        print(f"elevation bound: {report.value:.6f} (e={args.e}, p={args.p_norm})")
+        report = elevation_bound(build_derivative_form(curve), args.e)
+        print(f"elevation bound: {report.value:.6f} (e={args.e}, p=2)")
     return 0
 
 

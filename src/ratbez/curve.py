@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid, elevate_chain
+from ._kernels import decasteljau_grid
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,55 +66,6 @@ def decasteljau(values, t: float):
         arr = arr[:, None]
     res = decasteljau_grid(arr, np.array([_check_t(t)]))[0]
     return float(res[0]) if scalar else res
-
-
-@dataclass(frozen=True)
-class BernsteinCoefficients:
-    """A polynomial (or vector of polynomials) in Bernstein form.
-
-    `coefficients` holds degree + 1 rows; each row is a scalar or a
-    point.  Instances are immutable.
-    """
-
-    degree: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=np.float64)
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if arr.shape[0] != self.degree + 1:
-            raise ValueError(
-                f"length mismatch: degree {self.degree} needs "
-                f"{self.degree + 1} coefficients, got {arr.shape[0]}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    @classmethod
-    def from_values(cls, values) -> "BernsteinCoefficients":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape[0] < 1:
-            raise ValueError("empty coefficient list")
-        return cls(arr.shape[0] - 1, arr)
-
-    def evaluate(self, t: float):
-        return decasteljau(self.coefficients, t)
-
-
-def elevate_once(coeffs: BernsteinCoefficients) -> BernsteinCoefficients:
-    """Raise the Bernstein degree by one without changing the function.
-
-    The new coefficients are c'_0 = c_0, c'_{m+1} = c_m and
-    c'_i = (i / (m+1)) c_{i-1} + (1 - i / (m+1)) c_i in between.
-    """
-    arr = np.asarray(coeffs.coefficients, dtype=np.float64)
-    if arr.shape[0] < 1:
-        raise ValueError("empty coefficient list")
-    scalar = arr.ndim == 1
-    work = arr[:, None] if scalar else arr
-    out = elevate_chain(work, 1)
-    return BernsteinCoefficients(coeffs.degree + 1, out[:, 0] if scalar else out)
 
 
 @dataclass(frozen=True)

@@ -21,31 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import decasteljau_grid, elevate_chain
-from .curve import (
-    RationalBezierCurve,
-    _check_t,
-    decasteljau,
-    eval_point,
-    eval_weight,
-    require_valid,
-)
-
-
-@dataclass(frozen=True)
-class SederbergNumerator:
-    """Numerator of the compact derivative form.
-
-    `terms` holds the 2n-1 Bernstein coefficients D_i of degree 2n-2;
-    the derivative is their de Casteljau value divided by w(t)^2.
-    """
-
-    degree: int
-    terms: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.terms, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "terms", arr)
+from .curve import RationalBezierCurve, _check_t, decasteljau, eval_point, require_valid
 
 
 @dataclass(frozen=True)
@@ -99,13 +75,15 @@ def _require_positive_degree(curve: RationalBezierCurve) -> int:
     return n
 
 
-def sederberg_terms(curve: RationalBezierCurve) -> SederbergNumerator:
+def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
     """Bernstein coefficients D_i of the compact derivative numerator.
 
     D_i = (1 / C(2n-2, i)) * sum_j (i - 2j + 1) C(n, j) C(n, i-j+1)
           w_j w_{i-j+1} (p_{i-j+1} - p_j),
     summed over j from max(0, i-n+1) to floor(i/2), for i = 0 .. 2n-2.
-    Raises ValueError when a term leaves the float range.
+    Returns the read-only (2n-1, d) array of the D_i, the degree-(2n-2)
+    numerator of r'(t) = sum D_i B_i^{2n-2}(t) / w(t)^2.  Raises
+    ValueError when a term leaves the float range.
     """
     n = _require_positive_degree(curve)
     p = curve.points
@@ -119,16 +97,16 @@ def sederberg_terms(curve: RationalBezierCurve) -> SederbergNumerator:
         terms /= _binomials(2 * n - 2)[:, None]
     if not np.isfinite(terms).all():
         raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
-    return SederbergNumerator(2 * n - 2, terms)
+    terms.setflags(write=False)
+    return terms
 
 
 def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate r'(t) through the compact numerator form."""
-    num = sederberg_terms(curve)
+    terms = sederberg_terms(curve)
     t = _check_t(t)
-    value = decasteljau(num.terms, t)
-    w = eval_weight(curve, t)
-    return value / (w * w)
+    w = decasteljau(curve.weights, t)
+    return decasteljau(terms, t) / (w * w)
 
 
 def _binomials(m: int) -> np.ndarray:
@@ -168,16 +146,26 @@ def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
     """Degree-(2n-1) numerator points P_j of p'(t) w(t) - p(t) w'(t).
 
     With A(t) the weighted-point numerator of the curve, the product-rule
-    numerator A'(t) w(t) - A(t) w'(t) equals n * sum_j P_j B_j^{2n-1}(t),
-    where P = product(dA, w) - product(A, dw) for the forward differences
-    dA, dw of the coefficients.  A is built from p_i - p_0: translating
-    the points leaves the numerator unchanged, and P_0 = w_0 w_1 (p_1 - p_0)
-    comes out without cancellation.
+    numerator A'(t) w(t) - A(t) w'(t) equals n * sum_j P_j B_j^{2n-1}(t) with
+
+        P_j = sum (b - a) C(n, a) C(n, b) w_a w_b (p_b - p_a) / (n C(2n-1, j))
+
+    over the pairs a < b with a + b in {j, j + 1}.  Each term carries a
+    difference of two control points, so points far from the origin
+    cause no cancellation.  C(n, a) C(n, b) <= C(2n, a + b) stays finite
+    wherever the form builds, and it is divided by C(2n-1, j) before it
+    meets the factor b - a, so no coefficient exceeds 2n^2.
     """
-    _require_positive_degree(curve)
+    n = _require_positive_degree(curve)
+    a, b = np.triu_indices(n + 1, 1)
+    binom, wide = _binomials(n), _binomials(2 * n - 1)
+    pair = binom[a] * binom[b]
     w = curve.weights
-    a = w[:, None] * (curve.points - curve.points[0])
-    return _product(np.diff(a, axis=0), w) - _product(a, np.diff(w))
+    diff = (w[a] * w[b])[:, None] * (curve.points[b] - curve.points[a])
+    out = np.zeros((2 * n, curve.dimension))
+    for j in (a + b - 1, a + b):
+        np.add.at(out, j, (pair / wide[j] * (b - a))[:, None] * diff)
+    return out / n
 
 
 def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
@@ -211,8 +199,15 @@ def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
 
 
 def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.ndarray:
-    """Vectorized `eval_derivative_explicit` over a parameter array."""
-    h = decasteljau_grid(form.homogeneous(), np.asarray(ts, dtype=np.float64))
+    """Vectorized `eval_derivative_explicit` over a parameter array.
+
+    Raises ValueError unless every t is finite and in [0, 1].
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ValueError(f"parameter t={ts[outside][0]} outside [0, 1]")
+    h = decasteljau_grid(form.homogeneous(), ts)
     return h[:, :-1] / h[:, -1:]
 
 

@@ -28,7 +28,11 @@ CSV_COLUMNS = ["n", "max_deriv", "t", "conjecture", "elevation_bound", "e", "run
 
 @dataclass(frozen=True)
 class Table1Row:
-    """One degree's comparison of measured peak against both bounds."""
+    """One degree's comparison of measured peak against both bounds.
+
+    `runtime_seconds` is the wall time of the elevation bound alone; the
+    form build, the maximizer and the conjectured bound are not counted.
+    """
 
     degree: int
     max_first_derivative: float
@@ -38,14 +42,6 @@ class Table1Row:
     elevation_steps: int
     runtime_seconds: float
     verdict: str
-
-
-@dataclass(frozen=True)
-class VerdictRecord:
-    """Outcome of checking the conjectured bound on one curve."""
-
-    verdict: str
-    margin: float
 
 
 def counterexample_family(n: int) -> RationalBezierCurve:
@@ -59,17 +55,6 @@ def counterexample_family(n: int) -> RationalBezierCurve:
     weights = [2.0 ** -i for i in range(n)] + [2.0 ** -(n - 2)]
     points = [(float(i), 0.0) for i in range(n + 1)]
     return RationalBezierCurve(points, weights)
-
-
-def conjecture_verdict(curve: RationalBezierCurve, tol: float = 1e-10) -> VerdictRecord:
-    """Compare the measured derivative peak against the conjectured bound.
-
-    margin = bound - measured peak; negative margin means "violated".
-    """
-    peak = maximize_derivative_norm(curve, tol=tol)
-    bound = conjecture_bound(curve)
-    margin = bound.value - peak.max_value
-    return VerdictRecord("violated" if margin < 0.0 else "holds", margin)
 
 
 def table1_row(n: int, e: int = 1000, tol: float = 1e-10) -> Table1Row:

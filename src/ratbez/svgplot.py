@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid
+from ._kernels import _rowwise_norm, decasteljau_grid
 from .curve import RationalBezierCurve, require_valid
 from .derivative import build_derivative_form, eval_derivative_explicit_many
 from .experiments import Table1Row
@@ -183,11 +183,9 @@ def plot_derivative_norm_svg(
     overlay_bound: float | None = None,
 ) -> str:
     """Profile of |r'(t)| over [0, 1], optionally against a bound line."""
-    require_valid(curve)
     ts = np.linspace(0.0, 1.0, samples)
-    form = build_derivative_form(curve)
-    deriv = eval_derivative_explicit_many(form, ts)
-    norms = np.sqrt((deriv * deriv).sum(axis=1))
+    # build_derivative_form validates the curve
+    norms = _rowwise_norm(eval_derivative_explicit_many(build_derivative_form(curve), ts))
     hlines = [("bound", float(overlay_bound))] if overlay_bound is not None else []
     return _series_chart(
         [("|r'(t)|", ts, norms)],

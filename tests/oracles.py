@@ -4,11 +4,15 @@ Everything here deliberately avoids the library's evaluation paths:
 binomials come from an additive Pascal triangle, curve values from
 direct basis summation, elevated coefficients from the one-shot
 binomial-product formula (and, for bitwise checks, from the textbook
-row-major elevation step), and the degree-11 family fixture from its
-explicit rational-function form.
+row-major elevation step), the derivative's numerator points from the
+product formula in exact rational arithmetic, and the degree-11 family
+fixture from its explicit rational-function form.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -66,6 +70,38 @@ def elevate_chain_reference(values, steps: int) -> np.ndarray:
         lam = (np.arange(1, cur) / cur)[:, None]
         c = np.vstack([c[:1], lam * c[:-1] + (1.0 - lam) * c[1:], c[-1:]])
     return c
+
+
+def _common_integers(values):
+    """Floats as integers over one common power-of-two denominator."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
+def exact_intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
+    """Numerator points P_j, rounded once from their exact rational values.
+
+    With A_i = w_i p_i, P = product(dA, w) - product(A, dw) in Bernstein
+    form of degree 2n - 1:
+    P_j = sum_i C(n-1, i) C(n, j-i) (dA_i w_{j-i} - A_{j-i} dw_i) / C(2n-1, j).
+    The inputs are dyadic, so every sum is an exact integer.
+    """
+    n = curve.degree
+    w, wscale = _common_integers(curve.weights)
+    dw = [w[i + 1] - w[i] for i in range(n)]
+    out = np.empty((2 * n, curve.dimension))
+    for c in range(curve.dimension):
+        p, pscale = _common_integers(curve.points[:, c])
+        a = [w[i] * p[i] for i in range(n + 1)]
+        da = [a[i + 1] - a[i] for i in range(n)]
+        for j in range(2 * n):
+            total = sum(
+                comb(n - 1, i) * comb(n, j - i) * (da[i] * w[j - i] - a[j - i] * dw[i])
+                for i in range(max(0, j - n), min(n - 1, j) + 1)
+            )
+            out[j, c] = float(Fraction(total, comb(2 * n - 1, j) * wscale * wscale * pscale))
+    return out
 
 
 def random_curve(rng: np.random.Generator, n: int, d: int) -> RationalBezierCurve:

@@ -141,7 +141,7 @@ def test_criterion_3_random_corpus_agreement(corpus):
             form = build_derivative_form(curve)
             for t in ts:
                 t = float(t)
-                compact = decasteljau(terms.terms, t)
+                compact = decasteljau(terms, t)
                 w = eval_weight(curve, t)
                 compact = compact / (w * w)
                 explicit = eval_derivative_explicit(form, t)

@@ -55,23 +55,13 @@ def test_conjecture_bound_family_value():
         assert report.value == pytest.approx(2.0 * n, abs=1e-12)
         assert report.method == "conjecture"
         assert report.weight_ratio == pytest.approx(2.0)
-        assert report.norm_order == 2.0
 
 
 def test_conjecture_bound_norm_orders():
+    # legs are measured in the Euclidean norm: the (3, 4) leg counts 5,
+    # not 7 (1-norm) or 4 (max-norm)
     curve = RationalBezierCurve([(0, 0), (3, 4), (3, 4)], [1.0, 1.0, 1.0])
-    assert conjecture_bound(curve, p=2).value == pytest.approx(2 * 5.0)
-    assert conjecture_bound(curve, p=1).value == pytest.approx(2 * 7.0)
-    assert conjecture_bound(curve, p=float("inf")).value == pytest.approx(2 * 4.0)
-
-
-def test_bound_rejects_unknown_norm_order():
-    curve = counterexample_family(2)
-    with pytest.raises(ValueError, match="norm order"):
-        conjecture_bound(curve, p=3)
-    form = build_derivative_form(curve)
-    with pytest.raises(ValueError, match="norm order"):
-        elevation_bound(form, 1, p=0.5)
+    assert conjecture_bound(curve).value == pytest.approx(2 * 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +72,6 @@ def test_elevation_bound_reports_metadata():
     report = elevation_bound(form, 25)
     assert report.method == "elevation"
     assert report.elevation_steps == 25
-    assert report.norm_order == 2.0
     assert 0 <= report.argmax_index < form.degree + 25 + 1
 
 
@@ -153,15 +142,6 @@ def test_family_bound_settles_between_e_1000_and_2000():
             f"n={n}: first-order limit {limit:.9f} misses the peak {peak:.9f}"
         )
         assert b[4000] >= peak, f"n={n}: bound {b[4000]:.9f} below peak {peak:.9f}"
-
-
-def test_norm_orders_coincide_for_one_dimensional_curves():
-    curve = RationalBezierCurve([0.0, 2.0, 3.0], [1.0, 2.0, 0.5])
-    form = build_derivative_form(curve)
-    values = [elevation_bound(form, 10, p=p).value for p in (1, 2, float("inf"))]
-    assert max(values) - min(values) <= 1e-12
-    conj = [conjecture_bound(curve, p=p).value for p in (1, 2, float("inf"))]
-    assert max(conj) - min(conj) <= 1e-12
 
 
 def test_conjecture_bound_equal_weights_unit_spacing():

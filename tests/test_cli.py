@@ -118,8 +118,11 @@ def test_bound_elevation_output(fam11_file, capsys):
 
 
 def test_bound_p_norm_inf(fam11_file, capsys):
-    assert main(["bound", fam11_file, "--p-norm", "inf"]) == 0
-    assert "p=inf" in capsys.readouterr().out
+    # the bounds are Euclidean only; argparse refuses a --p-norm option
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", fam11_file, "--p-norm", "inf"])
+    assert exc.value.code == 2
+    assert "--p-norm" in capsys.readouterr().err
 
 
 def test_bound_elevation_without_elevating(fam11_file, capsys):

@@ -1,4 +1,4 @@
-"""Curve type, Bernstein basis, evaluation, elevation, and JSON I/O."""
+"""Curve type, Bernstein basis, evaluation, and JSON I/O."""
 
 import json
 import math
@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratbez import (
-    BernsteinCoefficients,
     RationalBezierCurve,
     bernstein,
     binomial,
     curve_from_json_obj,
     curve_to_json_obj,
     decasteljau,
-    elevate_once,
     eval_point,
     eval_weight,
     load_curve,
@@ -109,56 +107,6 @@ def test_decasteljau_vector_rows():
     values = np.array([[0.0, 1.0], [2.0, 3.0]])
     out = decasteljau(values, 0.5)
     assert np.allclose(out, [1.0, 2.0])
-
-
-# ---------------------------------------------------------------------------
-# BernsteinCoefficients
-
-def test_coefficients_length_invariant():
-    BernsteinCoefficients(2, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        BernsteinCoefficients(2, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        BernsteinCoefficients(-1, [])
-
-
-def test_coefficients_from_values_and_evaluate():
-    coeffs = BernsteinCoefficients.from_values([1.0, 3.0, 5.0])
-    assert coeffs.degree == 2
-    assert coeffs.evaluate(0.5) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        BernsteinCoefficients.from_values([])
-
-
-def test_coefficients_immutable():
-    coeffs = BernsteinCoefficients.from_values([1.0, 2.0])
-    with pytest.raises(ValueError):
-        coeffs.coefficients[0] = 9.0
-
-
-# ---------------------------------------------------------------------------
-# elevate_once
-
-def test_elevate_once_known_coefficients():
-    # degree 1 -> 2: c' = (c0, (c0 + c1)/2, c1)
-    out = elevate_once(BernsteinCoefficients.from_values([2.0, 6.0]))
-    assert out.degree == 2
-    assert np.allclose(out.coefficients, [2.0, 4.0, 6.0])
-
-
-def test_elevate_once_preserves_function():
-    rng = np.random.default_rng(22)
-    coeffs = BernsteinCoefficients.from_values(rng.uniform(-3.0, 3.0, size=6))
-    elevated = elevate_once(coeffs)
-    for t in np.linspace(0.0, 1.0, 9):
-        assert elevated.evaluate(t) == pytest.approx(coeffs.evaluate(t), rel=1e-13, abs=1e-13)
-
-
-def test_elevate_once_vector_rows():
-    coeffs = BernsteinCoefficients.from_values([[0.0, 0.0], [1.0, 2.0]])
-    elevated = elevate_once(coeffs)
-    assert elevated.coefficients.shape == (3, 2)
-    assert np.allclose(elevated.coefficients[1], [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

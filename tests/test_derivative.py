@@ -20,7 +20,7 @@ from ratbez import (
     sederberg_terms,
 )
 
-from oracles import basis_value, random_curve
+from oracles import basis_value, exact_intermediate_points, random_curve
 
 
 def _benign_curve(rng, n, d):
@@ -35,8 +35,8 @@ def _benign_curve(rng, n, d):
 def test_sederberg_numerator_shape():
     curve = counterexample_family(4)
     num = sederberg_terms(curve)
-    assert num.degree == 6
-    assert num.terms.shape == (7, 2)
+    assert num.shape == (7, 2)  # degree 2n - 2 = 6
+    assert not num.flags.writeable
 
 
 def test_derivative_form_shapes():
@@ -56,8 +56,7 @@ def test_sederberg_terms_line_segment():
     # degree 1: the single term is w0*w1*(p1 - p0)
     curve = RationalBezierCurve([(0.0, 0.0), (1.0, 0.0)], [1.0, 2.0])
     num = sederberg_terms(curve)
-    assert num.degree == 0
-    assert np.allclose(num.terms, [(2.0, 0.0)], rtol=1e-15)
+    assert np.allclose(num, [(2.0, 0.0)], rtol=1e-15)
 
 
 def test_sederberg_terms_equal_weight_quadratic():
@@ -65,8 +64,7 @@ def test_sederberg_terms_equal_weight_quadratic():
     # term equals (2, 0) and the derivative is the constant (2, 0)
     curve = RationalBezierCurve([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [1.0, 1.0, 1.0])
     num = sederberg_terms(curve)
-    assert num.degree == 2
-    assert np.allclose(num.terms, [(2.0, 0.0)] * 3, rtol=1e-15)
+    assert np.allclose(num, [(2.0, 0.0)] * 3, rtol=1e-15)
     for t in (0.0, 0.25, 0.8, 1.0):
         assert np.allclose(eval_derivative_sederberg(curve, t), (2.0, 0.0), rtol=1e-14)
 
@@ -180,6 +178,19 @@ def test_intermediate_points_match_product_rule_numerator():
             assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
+def test_intermediate_points_match_exact_rationals():
+    # each P_j is a sum of point differences, so its error stays at the
+    # rounding of the largest P_j even where the product formula cancels
+    rng = np.random.default_rng(20260819)
+    worst = 0.0
+    for _ in range(300):
+        curve = random_curve(rng, int(rng.integers(1, 25)), int(rng.integers(1, 4)))
+        ref = exact_intermediate_points(curve)
+        err = np.abs(intermediate_points(curve) - ref).max() / np.abs(ref).max()
+        worst = max(worst, err)
+    assert worst <= 1e-14, f"worst error {worst:.3g} of max|P_j|"
+
+
 def test_numerator_points_are_elevated_intermediates():
     # the form stores n * N; dividing by n again may move a value by one ulp
     curve = counterexample_family(5)
@@ -263,6 +274,15 @@ def test_finite_difference_matches_closed_forms():
         fd = finite_difference(curve, t)
         closed = eval_derivative_explicit(form, t)
         assert np.abs(fd - closed).max() <= 5e-6
+
+
+def test_eval_derivative_explicit_many_checks_parameters():
+    form = build_derivative_form(counterexample_family(3))
+    for ts in ([2.0, -1.0, np.nan], [0.5, 1.5], [-0.0, -1e-300], [np.nan], [0.2, np.inf]):
+        with pytest.raises(ValueError, match="outside"):
+            eval_derivative_explicit_many(form, ts)
+    assert eval_derivative_explicit_many(form, []).shape == (0, 2)
+    assert eval_derivative_explicit_many(form, [-0.0, 1.0]).shape == (2, 2)
 
 
 def test_eval_derivative_explicit_many_matches_scalar():

@@ -14,7 +14,7 @@ from ratbez import (
     maximize_derivative_norm,
     sederberg_terms,
 )
-from ratbez._kernels import decasteljau_grid
+from ratbez._kernels import decasteljau_grid, elevate_chain
 
 from oracles import random_curve
 
@@ -97,7 +97,7 @@ def test_huge_common_weight_matches_unit_weights():
 
 
 def _sederberg_norms(curve, ts):
-    num = decasteljau_grid(sederberg_terms(curve).terms, ts)
+    num = decasteljau_grid(sederberg_terms(curve), ts)
     w = decasteljau_grid(curve.weights[:, None], ts)[:, 0]
     return np.sqrt((num * num).sum(axis=1)) / (w * w)
 
@@ -152,6 +152,26 @@ def test_power_of_two_weight_scale_changes_nothing(n, d, k, seed):
     assert maximize_derivative_norm(scaled) == maximize_derivative_norm(curve)
     assert (elevation_bound(build_derivative_form(scaled), 100).value
             == elevation_bound(build_derivative_form(curve), 100).value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_degree_elevation_keeps_the_supremum(n, d, seed):
+    # one elevation step of the homogeneous rows (w p | w) gives the same
+    # curve at degree n + 1, so both enclosures hold the same supremum
+    curve = random_curve(np.random.default_rng(seed), n, d)
+    rows = elevate_chain(np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]]), 1)
+    elevated = RationalBezierCurve(rows[:, :-1] / rows[:, -1:], rows[:, -1])
+    tol = 1e-10
+    a = maximize_derivative_norm(curve, tol=tol)
+    b = maximize_derivative_norm(elevated, tol=tol)
+    assert abs(a.max_value - b.max_value) <= 2.0 * tol * max(a.max_value, b.max_value)
+    assert a.max_value <= b.upper * (1.0 + 1e-13)
+    assert b.max_value <= a.upper * (1.0 + 1e-13)
 
 
 def test_curve_and_its_form_give_equal_results():
