@@ -18,9 +18,7 @@ from .curve import (
     eval_point,
     eval_weight,
     load_curve,
-    require_valid,
     save_curve,
-    validate,
 )
 from .derivative import (
     DerivativeForm,
@@ -42,7 +40,7 @@ from .experiments import (
     write_table1_csv,
 )
 from .maximize import MaximizerResult, maximize_derivative_norm
-from .svgplot import PlotSpec, render_plot, write_plot
+from .svgplot import render_plot, write_plot
 
 __version__ = "0.1.0"
 
@@ -50,7 +48,6 @@ __all__ = [
     "BoundReport",
     "DerivativeForm",
     "MaximizerResult",
-    "PlotSpec",
     "RationalBezierCurve",
     "Table1Row",
     "bernstein",
@@ -75,12 +72,10 @@ __all__ = [
     "maximize_derivative_norm",
     "read_table1_csv",
     "render_plot",
-    "require_valid",
     "run_table1",
     "save_curve",
     "sederberg_terms",
     "table1_row",
-    "validate",
     "weight_ratio",
     "write_plot",
     "write_table1_csv",

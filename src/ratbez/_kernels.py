@@ -17,8 +17,15 @@ import numpy as np
 
 
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every row of a 2-d array."""
-    return np.sqrt((rows * rows).sum(axis=1))
+    """The Euclidean norm of every row of a 2-d array.
+
+    Each row is scaled by the power of two that brings its largest |entry|
+    into [1/2, 1) before squaring, so no square overflows, and the norm is
+    scaled back; both scalings are exact.
+    """
+    _, e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
+    scaled = np.ldexp(rows, -e[:, None])
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), e)
 
 
 def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _rowwise_norm, _step_count, elevate_chain, max_norm_ratio
-from .curve import RationalBezierCurve, require_valid
+from .curve import RationalBezierCurve
 from .derivative import DerivativeForm
 
 
@@ -40,23 +40,34 @@ class BoundReport:
 
 
 def weight_ratio(curve: RationalBezierCurve) -> float:
-    """Largest adjacent weight ratio max_i max(w_i/w_{i+1}, w_{i+1}/w_i)."""
-    require_valid(curve)
+    """Largest adjacent weight ratio max_i max(w_i/w_{i+1}, w_{i+1}/w_i).
+
+    Raises ValueError when the ratio leaves the float range.
+    """
     if curve.degree < 1:
         raise ValueError("weight ratio needs at least two control points")
     w = curve.weights
-    forward = w[1:] / w[:-1]
-    return float(max(forward.max(), (1.0 / forward).max()))
+    with np.errstate(over="ignore", divide="ignore"):
+        forward = w[1:] / w[:-1]
+        ratio = float(max(forward.max(), (1.0 / forward).max()))
+    if not np.isfinite(ratio):
+        raise ValueError("the adjacent weight ratio exceeds the float range")
+    return ratio
 
 
 def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
     """Conjectured bound n * W * max_i |p_{i+1} - p_i| on sup |r'(t)|.
 
-    The curve is validated once, by `weight_ratio`.
+    Raises ValueError when the weight ratio or the bound leaves the float
+    range.
     """
     ratio = weight_ratio(curve)
-    longest = float(_rowwise_norm(np.diff(curve.points, axis=0)).max())
-    return BoundReport(value=curve.degree * ratio * longest, method="conjecture", weight_ratio=ratio)
+    with np.errstate(over="ignore"):
+        longest = float(_rowwise_norm(np.diff(curve.points, axis=0)).max())
+    value = curve.degree * ratio * longest
+    if not np.isfinite(value):
+        raise ValueError("the conjectured bound exceeds the float range")
+    return BoundReport(value=value, method="conjecture", weight_ratio=ratio)
 
 
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:

@@ -18,7 +18,7 @@ from .curve import eval_point, load_curve
 from .derivative import build_derivative_form
 from .experiments import read_table1_csv, run_table1, write_table1_csv
 from .maximize import maximize_derivative_norm
-from .svgplot import PLOT_KINDS, PlotSpec, write_plot
+from .svgplot import CURVE_KINDS, PLOT_KINDS, write_plot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,16 +105,11 @@ def cmd_table1(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    spec = PlotSpec(
-        kind=args.kind,
-        output_path=args.out,
-        samples=args.samples,
-        overlay_bound=args.overlay_bound,
-    )
-    if spec.kind in ("curve", "derivative_norm"):
-        write_plot(spec, curve=load_curve(args.input))
+    if args.kind in CURVE_KINDS:
+        source = {"curve": load_curve(args.input)}
     else:
-        write_plot(spec, rows=read_table1_csv(args.input))
+        source = {"rows": read_table1_csv(args.input)}
+    write_plot(args.kind, args.out, samples=args.samples, overlay_bound=args.overlay_bound, **source)
     return 0
 
 

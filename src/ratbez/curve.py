@@ -68,15 +68,40 @@ def decasteljau(values, t: float):
     return float(res[0]) if scalar else res
 
 
+def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The rational curve of the homogeneous `rows` (point | weight) at every
+    checked t in `ts`: one grid evaluation, one division."""
+    h = decasteljau_grid(rows, ts)
+    return h[:, :-1] / h[:, -1:]
+
+
+def _problems(points: np.ndarray, weights: np.ndarray) -> list[str]:
+    """Every reason the coerced arrays do not form a usable curve."""
+    npts, nwts = points.shape[0], weights.shape[0]
+    if npts == 0:
+        return ["curve has no control points"]
+    errors = []
+    if npts != nwts:
+        errors.append(f"length mismatch: {npts} points vs {nwts} weights")
+    if points.shape[1] == 0:
+        errors.append("points have zero dimension")
+    finite = np.isfinite(points).all(axis=1)
+    if not (((weights > 0.0) & (weights < np.inf)).all() and finite.all()):
+        errors += [f"{'non-finite' if not np.isfinite(w) else 'nonpositive'} weight at index {i}"
+                   for i, w in enumerate(weights) if not 0.0 < w < np.inf]
+        errors += [f"non-finite coordinate in point {i}" for i in np.flatnonzero(~finite)]
+    return errors
+
+
 @dataclass(frozen=True)
 class RationalBezierCurve:
     """Immutable rational Bezier curve: control points plus positive weights.
 
     `points` is coerced to a (degree + 1, dimension) float array and
-    `weights` to a matching 1-d array.  Structural problems (ragged
-    points, wrong shapes) raise at construction; value-level problems
-    (nonpositive weights, non-finite entries) are reported by
-    `validate`, which every operation checks first.
+    `weights` to a matching 1-d array.  Construction raises ValueError,
+    listing every problem, unless there is at least one point of positive
+    dimension, one weight per point, every weight is finite and positive
+    and every coordinate finite; so every curve that exists is usable.
     """
 
     points: np.ndarray
@@ -97,6 +122,9 @@ class RationalBezierCurve:
             raise ValueError(f"weights must be numeric: {exc}") from None
         if wts.ndim != 1:
             raise ValueError(f"weights must be 1-d, got shape {wts.shape}")
+        errors = _problems(pts, wts)
+        if errors:
+            raise ValueError("; ".join(errors))
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -110,54 +138,33 @@ class RationalBezierCurve:
     def dimension(self) -> int:
         return self.points.shape[1]
 
+    def homogeneous(self) -> np.ndarray:
+        """The rows (w_i p_i | w_i) for rational evaluation.
 
-def validate(curve: RationalBezierCurve) -> list[str]:
-    """Return a list of problems with the curve; empty means usable."""
-    errors: list[str] = []
-    npts = curve.points.shape[0]
-    nwts = curve.weights.shape[0]
-    if npts == 0:
-        errors.append("curve has no control points")
-        return errors
-    if npts != nwts:
-        errors.append(f"length mismatch: {npts} points vs {nwts} weights")
-    if curve.points.shape[1] == 0:
-        errors.append("points have zero dimension")
-    for i, w in enumerate(curve.weights):
-        if not np.isfinite(w):
-            errors.append(f"non-finite weight at index {i}")
-        elif w <= 0.0:
-            errors.append(f"nonpositive weight at index {i}")
-    bad = np.nonzero(~np.isfinite(curve.points).all(axis=1))[0]
-    for i in bad:
-        errors.append(f"non-finite coordinate in point {i}")
-    return errors
-
-
-def require_valid(curve: RationalBezierCurve) -> None:
-    errors = validate(curve)
-    if errors:
-        raise ValueError("; ".join(errors))
+        The weights are first scaled by the power of two that brings the
+        largest into [1/2, 1), so w_i p_i cannot overflow; the scaling is
+        exact, and the curve it defines is the same.  Where the weights span
+        more than the normal range, the scale stops where the smallest
+        weight would leave it.
+        """
+        w = self.weights
+        w = np.ldexp(w, -min(np.frexp(w.max())[1], np.frexp(w.min())[1] + 1021))[:, None]
+        return np.hstack([self.points * w, w])
 
 
 def eval_weight(curve: RationalBezierCurve, t: float) -> float:
     """Evaluate the weight function w(t) = sum_i w_i B_i^n(t); always > 0."""
-    require_valid(curve)
-    _check_t(t)
     return decasteljau(curve.weights, t)
 
 
 def eval_point(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate the curve point r(t) via homogeneous de Casteljau."""
-    require_valid(curve)
     t = _check_t(t)
     if t == 0.0:
         return curve.points[0].copy()
     if t == 1.0:
         return curve.points[-1].copy()
-    hom = np.hstack([curve.points * curve.weights[:, None], curve.weights[:, None]])
-    h = decasteljau(hom, t)
-    return h[:-1] / h[-1]
+    return _rational(curve.homogeneous(), np.array([t]))[0]
 
 
 # ---------------------------------------------------------------------------

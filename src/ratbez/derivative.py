@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import decasteljau_grid, elevate_chain
-from .curve import RationalBezierCurve, _check_t, decasteljau, eval_point, require_valid
+from .curve import RationalBezierCurve, _check_t, _rational, eval_point
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class DerivativeForm:
 
 
 def _require_positive_degree(curve: RationalBezierCurve) -> int:
-    require_valid(curve)
     n = curve.degree
     if n < 1:
         raise ValueError("derivative of a degree-0 curve (a point) is undefined")
@@ -104,9 +103,9 @@ def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
 def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate r'(t) through the compact numerator form."""
     terms = sederberg_terms(curve)
-    t = _check_t(t)
-    w = decasteljau(curve.weights, t)
-    return decasteljau(terms, t) / (w * w)
+    ts = np.array([_check_t(t)])
+    w = decasteljau_grid(curve.weights[:, None], ts)[0, 0]
+    return decasteljau_grid(terms, ts)[0] / (w * w)
 
 
 def _binomials(m: int) -> np.ndarray:
@@ -193,9 +192,7 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
 
 def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
     """Evaluate r'(t) from the explicit form by homogeneous de Casteljau."""
-    t = _check_t(t)
-    h = decasteljau(form.homogeneous(), t)
-    return h[:-1] / h[-1]
+    return _rational(form.homogeneous(), np.array([_check_t(t)]))[0]
 
 
 def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.ndarray:
@@ -207,8 +204,7 @@ def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.nd
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if outside.any():
         raise ValueError(f"parameter t={ts[outside][0]} outside [0, 1]")
-    h = decasteljau_grid(form.homogeneous(), ts)
-    return h[:, :-1] / h[:, -1:]
+    return _rational(form.homogeneous(), ts)
 
 
 def finite_difference(curve: RationalBezierCurve, t: float, h: float = 1e-6) -> np.ndarray:
@@ -217,7 +213,6 @@ def finite_difference(curve: RationalBezierCurve, t: float, h: float = 1e-6) -> 
     Central difference in the interior; one-sided three-point stencils
     when t - h or t + h would leave [0, 1].
     """
-    require_valid(curve)
     t = _check_t(t)
     if h <= 0.0:
         raise ValueError("step h must be positive")

@@ -59,7 +59,7 @@ def maximize_derivative_norm(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    # build_derivative_form validates the curve and refuses degree 0
+    # build_derivative_form refuses degree 0
     form = curve if isinstance(curve, DerivativeForm) else build_derivative_form(curve)
     root = form.homogeneous()
     best, argmax_t = _value(root[0]), 0.0

@@ -8,38 +8,16 @@ Renderers return complete SVG documents as strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _rowwise_norm, decasteljau_grid
-from .curve import RationalBezierCurve, require_valid
+from ._kernels import _rowwise_norm
+from .curve import RationalBezierCurve, _rational
 from .derivative import build_derivative_form, eval_derivative_explicit_many
 from .experiments import Table1Row
-
-PLOT_KINDS = ("curve", "derivative_norm", "bound_comparison", "runtime")
 
 _WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 66, 18, 30, 46
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """What to draw and where to write it."""
-
-    kind: str
-    output_path: str
-    samples: int = 512
-    overlay_bound: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in PLOT_KINDS:
-            raise ValueError(f"unknown plot kind {self.kind!r}; expected one of {PLOT_KINDS}")
-        if not self.output_path:
-            raise ValueError("output path must be non-empty")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
 
 
 class _Frame:
@@ -162,11 +140,8 @@ def _series_chart(series, hlines=(), xlabel="", ylabel="", title="") -> str:
 
 
 def _sample_curve(curve: RationalBezierCurve, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    require_valid(curve)
     ts = np.linspace(0.0, 1.0, samples)
-    hom = np.hstack([curve.points * curve.weights[:, None], curve.weights[:, None]])
-    h = decasteljau_grid(hom, ts)
-    return ts, h[:, :-1] / h[:, -1:]
+    return ts, _rational(curve.homogeneous(), ts)
 
 
 def plot_curve_svg(curve: RationalBezierCurve, samples: int = 512) -> str:
@@ -184,7 +159,6 @@ def plot_derivative_norm_svg(
 ) -> str:
     """Profile of |r'(t)| over [0, 1], optionally against a bound line."""
     ts = np.linspace(0.0, 1.0, samples)
-    # build_derivative_form validates the curve
     norms = _rowwise_norm(eval_derivative_explicit_many(build_derivative_form(curve), ts))
     hlines = [("bound", float(overlay_bound))] if overlay_bound is not None else []
     return _series_chart(
@@ -226,35 +200,40 @@ def plot_runtime_svg(rows: list[Table1Row]) -> str:
     )
 
 
-def render_plot(
-    spec: PlotSpec,
-    curve: RationalBezierCurve | None = None,
-    rows: list[Table1Row] | None = None,
-) -> str:
-    """Dispatch on spec.kind; curve kinds need `curve`, table kinds `rows`."""
-    if spec.kind == "curve":
-        if curve is None:
-            raise ValueError("plot kind 'curve' needs a curve input")
-        return plot_curve_svg(curve, spec.samples)
-    if spec.kind == "derivative_norm":
-        if curve is None:
-            raise ValueError("plot kind 'derivative_norm' needs a curve input")
-        return plot_derivative_norm_svg(curve, spec.samples, spec.overlay_bound)
-    if spec.kind == "bound_comparison":
-        if rows is None:
-            raise ValueError("plot kind 'bound_comparison' needs results-table rows")
-        return plot_bound_comparison_svg(rows)
-    if rows is None:
-        raise ValueError("plot kind 'runtime' needs results-table rows")
-    return plot_runtime_svg(rows)
+CURVE_KINDS = ("curve", "derivative_norm")
+# kind -> renderer(curve or rows, samples, overlay_bound)
+_RENDERERS = {
+    "curve": lambda curve, samples, _: plot_curve_svg(curve, samples),
+    "derivative_norm": plot_derivative_norm_svg,
+    "bound_comparison": lambda rows, *_: plot_bound_comparison_svg(rows),
+    "runtime": lambda rows, *_: plot_runtime_svg(rows),
+}
+PLOT_KINDS = tuple(_RENDERERS)
 
 
-def write_plot(
-    spec: PlotSpec,
-    curve: RationalBezierCurve | None = None,
-    rows: list[Table1Row] | None = None,
-) -> None:
-    svg = render_plot(spec, curve=curve, rows=rows)
-    with open(spec.output_path, "w", encoding="utf-8") as fh:
+def render_plot(kind: str, curve: RationalBezierCurve | None = None,
+                rows: list[Table1Row] | None = None, samples: int = 512,
+                overlay_bound: float | None = None) -> str:
+    """The SVG document of one plot kind; curve kinds need `curve`, table
+    kinds `rows`.  `samples` and `overlay_bound` serve the curve kinds."""
+    if kind not in _RENDERERS:
+        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    source = curve if kind in CURVE_KINDS else rows
+    if source is None:
+        needs = "a curve input" if kind in CURVE_KINDS else "results-table rows"
+        raise ValueError(f"plot kind {kind!r} needs {needs}")
+    return _RENDERERS[kind](source, samples, overlay_bound)
+
+
+def write_plot(kind: str, path: str, curve: RationalBezierCurve | None = None,
+               rows: list[Table1Row] | None = None, samples: int = 512,
+               overlay_bound: float | None = None) -> None:
+    """Write the `render_plot` document to `path`."""
+    if not path:
+        raise ValueError("output path must be non-empty")
+    svg = render_plot(kind, curve=curve, rows=rows, samples=samples, overlay_bound=overlay_bound)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
         fh.write("\n")

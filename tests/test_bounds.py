@@ -45,6 +45,15 @@ def test_weight_ratio_needs_two_points():
         weight_ratio(RationalBezierCurve([(0, 0)], [1.0]))
 
 
+def test_weight_ratio_past_the_float_range_raises():
+    # 1e300 / 1e-300 overflows: an error, not inf and a RuntimeWarning
+    curve = RationalBezierCurve([(0, 0), (1, 0), (2, 1)], [1.0, 1e-300, 1e300])
+    with pytest.raises(ValueError, match="weight ratio exceeds the float range"):
+        weight_ratio(curve)
+    with pytest.raises(ValueError, match="weight ratio exceeds the float range"):
+        conjecture_bound(curve)
+
+
 # ---------------------------------------------------------------------------
 # conjectured bound
 
@@ -55,6 +64,30 @@ def test_conjecture_bound_family_value():
         assert report.value == pytest.approx(2.0 * n, abs=1e-12)
         assert report.method == "conjecture"
         assert report.weight_ratio == pytest.approx(2.0)
+
+
+def test_conjecture_bound_past_the_float_range_raises():
+    # the leg 2e308 overflows, though every coordinate is finite
+    curve = RationalBezierCurve([(-1e308, 0.0), (1e308, 0.0)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="conjectured bound exceeds the float range"):
+        conjecture_bound(curve)
+
+
+@pytest.mark.parametrize("n", [2, 11, 20])
+def test_points_scaled_past_the_square_root_of_the_float_range(n):
+    # squaring 2^530-sized entries overflows unless each row is scaled
+    # first; every step is linear in the points, so each figure scales exactly
+    curve = counterexample_family(n)
+    big = RationalBezierCurve(np.ldexp(curve.points, 530), curve.weights)
+    a, b = maximize_derivative_norm(curve), maximize_derivative_norm(big)
+    assert b.max_value == np.ldexp(a.max_value, 530)
+    assert b.upper == np.ldexp(a.upper, 530)
+    assert (b.argmax_t, b.pieces) == (a.argmax_t, a.pieces)
+    form, big_form = build_derivative_form(curve), build_derivative_form(big)
+    assert elevation_bound(big_form, 1000).value == np.ldexp(elevation_bound(form, 1000).value, 530)
+    assert conjecture_bound(big).value == np.ldexp(conjecture_bound(curve).value, 530)
+    if n == 11:
+        assert b.max_value == pytest.approx(7.786081e160, rel=1e-6)
 
 
 def test_conjecture_bound_norm_orders():

@@ -117,6 +117,17 @@ def test_bound_elevation_output(fam11_file, capsys):
     assert out == "elevation bound: 22.285016 (e=1000, p=2)"
 
 
+def test_bound_weight_ratio_past_the_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "degree": 1, "points": [[0.0, 0.0], [1.0, 0.0]], "weights": [1e-300, 1e300],
+    }))
+    assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weight ratio exceeds the float range" in captured.err
+
+
 def test_bound_p_norm_inf(fam11_file, capsys):
     # the bounds are Euclidean only; argparse refuses a --p-norm option
     with pytest.raises(SystemExit) as exc:

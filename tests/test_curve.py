@@ -8,19 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratbez.curve
 from ratbez import (
     RationalBezierCurve,
     bernstein,
     binomial,
+    build_derivative_form,
+    counterexample_family,
     curve_from_json_obj,
     curve_to_json_obj,
     decasteljau,
     eval_point,
     eval_weight,
+    finite_difference,
     load_curve,
     save_curve,
-    validate,
+    table1_row,
 )
+from ratbez.curve import _problems
 
 from oracles import basis_value, pascal_binomial, rational_point
 
@@ -139,27 +144,53 @@ def test_curve_ragged_points_rejected():
         RationalBezierCurve([(0, 0), (1,)], [1.0, 1.0])
 
 
-def test_validate_reports_problems():
-    good = RationalBezierCurve([(0, 0), (1, 1)], [1.0, 2.0])
-    assert validate(good) == []
-
-    mismatched = RationalBezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)], [1.0, 1.0, 1.0])
-    assert any("length mismatch" in e for e in validate(mismatched))
-
-    negative = RationalBezierCurve([(0, 0), (1, 1)], [1.0, -2.0])
-    errors = validate(negative)
-    assert any("nonpositive weight at index 1" in e for e in errors)
-
-    nonfinite = RationalBezierCurve([(0, 0), (np.nan, 1)], [1.0, np.inf])
-    errors = validate(nonfinite)
-    assert any("non-finite weight" in e for e in errors)
-    assert any("non-finite coordinate" in e for e in errors)
+def test_construction_reports_problems():
+    RationalBezierCurve([(0, 0), (1, 1)], [1.0, 2.0])
+    with pytest.raises(ValueError, match="length mismatch: 4 points vs 3 weights"):
+        RationalBezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="nonpositive weight at index 1"):
+        RationalBezierCurve([(0, 0), (1, 1)], [1.0, -2.0])
+    with pytest.raises(ValueError, match="^curve has no control points$"):
+        RationalBezierCurve(np.empty((0, 2)), [])
+    with pytest.raises(ValueError, match="^points have zero dimension$"):
+        RationalBezierCurve(np.empty((2, 0)), [1.0, 1.0])
+    # every problem is listed, in order, joined by "; "
+    with pytest.raises(ValueError) as exc:
+        RationalBezierCurve([(0, 0), (np.nan, 1), (2, np.inf)], [0.0, np.inf, np.nan, 1.0])
+    assert str(exc.value) == (
+        "length mismatch: 3 points vs 4 weights; nonpositive weight at index 0; "
+        "non-finite weight at index 1; non-finite weight at index 2; "
+        "non-finite coordinate in point 1; non-finite coordinate in point 2"
+    )
 
 
 def test_operations_reject_invalid_curves():
-    bad = RationalBezierCurve([(0, 0), (1, 1)], [1.0, 0.0])
-    with pytest.raises(ValueError, match="nonpositive weight"):
-        eval_point(bad, 0.5)
+    # no invalid curve exists: construction and the JSON reader refuse it
+    with pytest.raises(ValueError, match="nonpositive weight at index 1"):
+        RationalBezierCurve([(0, 0), (1, 1)], [1.0, 0.0])
+    with pytest.raises(ValueError, match="nonpositive weight at index 1"):
+        curve_from_json_obj({"degree": 1, "points": [[0, 0], [1, 1]], "weights": [1, 0]})
+
+
+def test_validation_runs_once_per_constructed_curve(monkeypatch):
+    calls = []
+
+    def counting(points, weights):
+        calls.append(points.shape)
+        return _problems(points, weights)
+
+    monkeypatch.setattr(ratbez.curve, "_problems", counting)
+    # the family member, and the max-weight rescale inside the form build
+    table1_row(11, e=10)
+    assert len(calls) == 2
+    curve = counterexample_family(5)
+    calls.clear()
+    build_derivative_form(curve)
+    assert len(calls) == 1
+    calls.clear()
+    finite_difference(curve, 0.3)
+    eval_point(curve, 0.3)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +225,29 @@ def test_eval_point_quarter_circle():
     for t in np.linspace(0.0, 1.0, 17):
         point = eval_point(curve, float(t))
         assert np.hypot(point[0], point[1]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_homogeneous_rows_scale_weights_by_a_power_of_two():
+    curve = RationalBezierCurve([(1.0, -2.0), (3.0, 0.5), (-4.0, 8.0)], [3.0, 40.0, 0.7])
+    rows = curve.homogeneous()
+    # 40 = 0.625 * 2^6: every weight is divided by 2^6 exactly
+    assert np.array_equal(rows[:, -1], curve.weights / 64.0)
+    assert np.array_equal(rows[:, :-1], curve.points * (curve.weights / 64.0)[:, None])
+    # weights spanning more than the normal range: none may flush to zero
+    wide = RationalBezierCurve([(1.0, 0.0), (0.0, 1.0)], [5e-324, 2.0])
+    assert np.array_equal(wide.homogeneous()[:, -1], np.ldexp(wide.weights, 52))
+
+
+def test_points_near_the_float_limit_with_large_weights():
+    # w_i p_i = 2^40 * 1e300 overflows unless the weights are scaled first
+    points = [[1e300, 0.0], [1.5e300, 0.0], [1e300, 1.0]]
+    heavy = RationalBezierCurve(points, [2.0**40] * 3)
+    unit = RationalBezierCurve(points, [1.0] * 3)
+    at_half = eval_point(heavy, 0.5)
+    assert np.array_equal(at_half, eval_point(unit, 0.5))
+    assert np.array_equal(at_half, [1.25e300, 0.25])
+    for t in (0.0, 0.5, 0.8, 1.0):
+        assert np.isfinite(finite_difference(heavy, t)).all()
 
 
 def test_eval_rejects_t_outside_unit_interval():

@@ -142,6 +142,21 @@ def test_max_norm_ratio_ties_take_first_index():
     assert idx == 0
 
 
+def test_max_norm_ratio_power_of_two_row_scaling():
+    # squares of 2^660-sized entries overflow; the row scaling keeps the
+    # 3-4-5 triangle exact at both ends of the range
+    for k in (660, -660):
+        big = np.ldexp(np.array([[3.0, 4.0], [0.0, 0.0]]), k)
+        assert max_norm_ratio(big, np.ones(2)) == (np.ldexp(5.0, k), 0)
+    # a power-of-two rescaled row gives its norm rescaled bit for bit
+    rng = np.random.default_rng(16)
+    nums = rng.uniform(-1.0, 1.0, size=(40, 3)) * np.ldexp(1.0, rng.integers(-60, 61, size=(40, 1)))
+    for i in range(40):
+        row, base = nums[i : i + 1], max_norm_ratio(nums[i : i + 1], np.ones(1))[0]
+        for k in (-900, -1, 1, 900):
+            assert max_norm_ratio(np.ldexp(row, k), np.ones(1))[0] == np.ldexp(base, k)
+
+
 def test_split_halves_reproduce_the_coefficients():
     rng = np.random.default_rng(15)
     for rows, cols in [(1, 2), (2, 1), (9, 3), (41, 4)]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratbez import (
     RationalBezierCurve,
     build_derivative_form,
+    conjecture_bound,
     counterexample_family,
     elevation_bound,
     eval_derivative_explicit,
@@ -172,6 +173,59 @@ def test_degree_elevation_keeps_the_supremum(n, d, seed):
     assert abs(a.max_value - b.max_value) <= 2.0 * tol * max(a.max_value, b.max_value)
     assert a.max_value <= b.upper * (1.0 + 1e-13)
     assert b.max_value <= a.upper * (1.0 + 1e-13)
+
+
+def _figures(curve):
+    """Every figure that must survive an exact rigid motion, bit for bit."""
+    result = maximize_derivative_norm(curve)
+    elevation = elevation_bound(build_derivative_form(curve), 50).value
+    return result, elevation, conjecture_bound(curve).value
+
+
+# motions that only swap coordinates and flip signs
+_EXACT_MOTIONS = [
+    np.array([[-1.0, 0.0], [0.0, 1.0]]),  # reflection in the y axis
+    np.array([[1.0, 0.0], [0.0, -1.0]]),  # reflection in the x axis
+    np.array([[0.0, -1.0], [1.0, 0.0]]),  # quarter-turn
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),  # quarter-turn the other way
+    np.array([[-1.0, 0.0], [0.0, -1.0]]),  # half-turn
+    np.array([[0.0, 1.0], [1.0, 0.0]]),  # coordinate swap
+]
+
+# a general rotation and translation moves every control point by a
+# rounding error, so the peak may move by the maximizer's relative
+# tolerance plus a few dozen units of roundoff, fixed here beforehand
+_RIGID_TOL = 1e-10
+_RIGID_BOUND = _RIGID_TOL + 64.0 * np.finfo(np.float64).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from(range(len(_EXACT_MOTIONS))),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reflections_and_quarter_turns_change_nothing(n, motion, seed):
+    # every step acts per coordinate, and x^2 + y^2 == y^2 + x^2 exactly
+    curve = random_curve(np.random.default_rng(seed), n, 2)
+    moved = RationalBezierCurve(curve.points @ _EXACT_MOTIONS[motion].T, curve.weights)
+    assert _figures(moved) == _figures(curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rotation_and_translation_keep_the_peak(n, angle, shift, seed):
+    curve = random_curve(np.random.default_rng(seed), n, 2)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    moved = RationalBezierCurve(curve.points @ rotation.T + np.array(shift), curve.weights)
+    a = maximize_derivative_norm(curve, tol=_RIGID_TOL)
+    b = maximize_derivative_norm(moved, tol=_RIGID_TOL)
+    assert abs(a.max_value - b.max_value) <= _RIGID_BOUND * max(a.max_value, b.max_value)
 
 
 def test_curve_and_its_form_give_equal_results():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ratbez import (
-    PlotSpec,
     RationalBezierCurve,
     counterexample_family,
     render_plot,
@@ -44,14 +43,17 @@ def _data_group(svg_text):
     raise AssertionError("no data group")
 
 
-def test_plot_spec_validation():
-    PlotSpec("curve", "out.svg")
+def test_plot_argument_checks(tmp_path):
+    curve = counterexample_family(2)
+    with pytest.raises(ValueError, match="unknown plot kind 'surface'"):
+        render_plot("surface", curve=curve)
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        render_plot("curve", curve=curve, samples=1)
+    with pytest.raises(ValueError, match="output path must be non-empty"):
+        write_plot("curve", "", curve=curve)
     with pytest.raises(ValueError, match="unknown plot kind"):
-        PlotSpec("surface", "out.svg")
-    with pytest.raises(ValueError, match="samples"):
-        PlotSpec("curve", "out.svg", samples=1)
-    with pytest.raises(ValueError, match="output path"):
-        PlotSpec("curve", "")
+        write_plot("surface", str(tmp_path / "x.svg"), curve=curve)
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_curve_plot_sample_count_and_ranges():
@@ -126,17 +128,23 @@ def test_empty_rows_rejected():
 def test_render_plot_dispatch_requires_matching_input():
     curve = counterexample_family(2)
     rows = [table1_row(2, e=10)]
-    with pytest.raises(ValueError, match="needs a curve"):
-        render_plot(PlotSpec("curve", "x.svg"))
-    with pytest.raises(ValueError, match="needs results-table rows"):
-        render_plot(PlotSpec("runtime", "x.svg"))
-    assert render_plot(PlotSpec("curve", "x.svg"), curve=curve).startswith("<svg")
-    assert render_plot(PlotSpec("bound_comparison", "x.svg"), rows=rows).startswith("<svg")
+    for kind in ("curve", "derivative_norm"):
+        with pytest.raises(ValueError, match=f"plot kind '{kind}' needs a curve input"):
+            render_plot(kind, rows=rows)
+    for kind in ("bound_comparison", "runtime"):
+        with pytest.raises(ValueError, match=f"plot kind '{kind}' needs results-table rows"):
+            render_plot(kind, curve=curve)
+    assert render_plot("curve", curve=curve) == plot_curve_svg(curve, 512)
+    assert (render_plot("derivative_norm", curve=curve, samples=64, overlay_bound=3.0)
+            == plot_derivative_norm_svg(curve, 64, 3.0))
+    assert render_plot("bound_comparison", rows=rows) == plot_bound_comparison_svg(rows)
+    assert render_plot("runtime", rows=rows, samples=2) == plot_runtime_svg(rows)
 
 
 def test_write_plot_creates_file(tmp_path):
     path = tmp_path / "chart.svg"
-    write_plot(PlotSpec("curve", str(path), samples=32), curve=counterexample_family(2))
+    curve = counterexample_family(2)
+    write_plot("curve", str(path), curve=curve, samples=32)
     text = path.read_text()
-    assert text.startswith("<svg")
+    assert text == plot_curve_svg(curve, 32) + "\n"
     ET.fromstring(text)  # well-formed XML
