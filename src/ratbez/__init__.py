@@ -10,13 +10,9 @@ from .bounds import (
 )
 from .curve import (
     RationalBezierCurve,
-    bernstein,
-    binomial,
     curve_from_json_obj,
     curve_to_json_obj,
-    decasteljau,
     eval_point,
-    eval_weight,
     load_curve,
     save_curve,
 )
@@ -26,10 +22,7 @@ from .derivative import (
     derivative_weights,
     eval_derivative_explicit,
     eval_derivative_explicit_many,
-    eval_derivative_sederberg,
-    finite_difference,
     intermediate_points,
-    sederberg_terms,
 )
 from .experiments import (
     Table1Row,
@@ -50,23 +43,17 @@ __all__ = [
     "MaximizerResult",
     "RationalBezierCurve",
     "Table1Row",
-    "bernstein",
-    "binomial",
     "bound_profile",
     "build_derivative_form",
     "conjecture_bound",
     "counterexample_family",
     "curve_from_json_obj",
     "curve_to_json_obj",
-    "decasteljau",
     "derivative_weights",
     "elevation_bound",
     "eval_derivative_explicit",
     "eval_derivative_explicit_many",
-    "eval_derivative_sederberg",
     "eval_point",
-    "eval_weight",
-    "finite_difference",
     "intermediate_points",
     "load_curve",
     "maximize_derivative_norm",
@@ -74,7 +61,6 @@ __all__ = [
     "render_plot",
     "run_table1",
     "save_curve",
-    "sederberg_terms",
     "table1_row",
     "weight_ratio",
     "write_plot",

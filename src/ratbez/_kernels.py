@@ -2,9 +2,10 @@
 subdivision at t = 1/2, repeated one-step degree elevation, and the max
 norm-over-weight scan.
 
-Each kernel is one vectorized numpy body.  ``decasteljau_grid``,
-``elevate_chain`` and ``max_norm_ratio`` check their arguments and
-coerce them to float64 first; ``split`` takes the maximizer's own arrays
+Each kernel is one vectorized numpy body.  The kernels check nothing:
+the public functions that call them validate every argument once.
+``decasteljau_grid``, ``elevate_chain`` and ``max_norm_ratio`` coerce
+their arrays to float64 first; ``split`` takes the maximizer's own arrays
 as they are.  ``elevate_chain`` works coordinate-major: each coordinate
 is one contiguous row of a buffer sized for the whole chain, updated in
 place with ``out=`` ufuncs, and it returns that buffer transposed.
@@ -36,10 +37,6 @@ def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     ts = np.ascontiguousarray(ts, dtype=np.float64)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be 2-d (rows of coefficients)")
-    if coeffs.shape[0] < 1:
-        raise ValueError("empty coefficient array")
     m1, k = coeffs.shape
     out = np.empty((ts.shape[0], k))
     # chunk the t axis so the (m+1, chunk, k) work buffer stays small
@@ -70,14 +67,6 @@ def split(coeffs: np.ndarray):
     return left, right
 
 
-def _step_count(steps) -> int:
-    """`steps` as a Python int; ValueError unless it is a Python or numpy
-    integer (a bool or a float is refused, even 2.0)."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"step count must be an integer, got {steps!r}")
-    return int(steps)
-
-
 def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
     """Degree-elevate a (m+1, k) coefficient array `steps` times.
 
@@ -89,13 +78,6 @@ def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
     (m+1+steps, k) array that never aliases `coeffs`.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be 2-d (rows of coefficients)")
-    if coeffs.shape[0] < 1:
-        raise ValueError("empty coefficient array")
-    steps = _step_count(steps)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     m1, k = coeffs.shape
     size = m1 + steps
     out = np.empty((k, size))
@@ -119,10 +101,6 @@ def max_norm_ratio(nums: np.ndarray, wts: np.ndarray):
     """Return (max_i |nums[i]| / wts[i], argmax index), first index on ties."""
     nums = np.ascontiguousarray(nums, dtype=np.float64)
     wts = np.ascontiguousarray(wts, dtype=np.float64)
-    if nums.ndim != 2 or wts.ndim != 1 or nums.shape[0] != wts.shape[0]:
-        raise ValueError("nums must be (m, k) and wts (m,)")
-    if nums.shape[0] < 1:
-        raise ValueError("empty arrays")
     ratios = _rowwise_norm(nums) / wts
     i = int(np.argmax(ratios))
     return float(ratios[i]), i

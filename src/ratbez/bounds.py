@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, _step_count, elevate_chain, max_norm_ratio
+from ._kernels import _rowwise_norm, elevate_chain, max_norm_ratio
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm
 
@@ -70,6 +70,14 @@ def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
     return BoundReport(value=value, method="conjecture", weight_ratio=ratio)
 
 
+def _step_count(steps) -> int:
+    """`steps` as a Python int; ValueError unless it is a Python or numpy
+    integer (a bool or a float is refused, even 2.0)."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"step count must be an integer, got {steps!r}")
+    return int(steps)
+
+
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
     """(e, bound, argmax index) at each step count of ascending `e_list`,
     from one elevation chain of max(e_list) steps."""
@@ -79,7 +87,7 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("elevation step counts must be strictly increasing")
     out = []
-    stacked, done = form.homogeneous(), 0
+    stacked, done = form.rows, 0
     for e in steps:
         stacked, done = elevate_chain(stacked, e - done), e
         out.append((e, *max_norm_ratio(stacked[:, :-1], stacked[:, -1])))

@@ -14,7 +14,6 @@ the endpoints are reproduced exactly.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -23,49 +22,11 @@ import numpy as np
 from ._kernels import decasteljau_grid
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) as a Python int.
-
-    Raises ValueError for negative arguments or k > n.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"binomial upper index exceeded: k={k} > n={n}")
-    return math.comb(n, k)
-
-
-def bernstein(n: int, i: int, t: float) -> float:
-    """Bernstein basis value B_i^n(t) = C(n, i) t^i (1 - t)^(n - i).
-
-    Raises ValueError where C(n, i) exceeds the float range.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index out of range: i={i}, n={n}")
-    _check_t(t)
-    try:
-        coef = float(binomial(n, i))
-    except OverflowError:
-        raise ValueError(f"binomial({n}, {i}) exceeds the float range") from None
-    # Python's float power gives 0.0 ** 0 == 1.0, matching the convention
-    return coef * t**i * (1.0 - t) ** (n - i)
-
-
 def _check_t(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"parameter t={t} outside [0, 1]")
     return t
-
-
-def decasteljau(values, t: float):
-    """Evaluate one Bernstein coefficient set (scalar or vector rows) at t."""
-    arr = np.asarray(values, dtype=np.float64)
-    scalar = arr.ndim == 1
-    if scalar:
-        arr = arr[:, None]
-    res = decasteljau_grid(arr, np.array([_check_t(t)]))[0]
-    return float(res[0]) if scalar else res
 
 
 def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -150,11 +111,6 @@ class RationalBezierCurve:
         w = self.weights
         w = np.ldexp(w, -min(np.frexp(w.max())[1], np.frexp(w.min())[1] + 1021))[:, None]
         return np.hstack([self.points * w, w])
-
-
-def eval_weight(curve: RationalBezierCurve, t: float) -> float:
-    """Evaluate the weight function w(t) = sum_i w_i B_i^n(t); always > 0."""
-    return decasteljau(curve.weights, t)
 
 
 def eval_point(curve: RationalBezierCurve, t: float) -> np.ndarray:

@@ -1,16 +1,13 @@
-"""Closed-form first derivatives of rational Bezier curves.
+"""The closed-form first derivative of a rational Bezier curve.
 
-Two equivalent representations are built from the control data alone:
-
-* a compact numerator form (after Sederberg): r'(t) is a degree-(2n-2)
-  Bernstein numerator divided by the squared weight function, and
-* an explicit quotient form of degree 2n whose coefficients come from
-  the product-rule numerator p'(t) w(t) - p(t) w'(t) written over the
-  squared-weight denominator; its numerator points divided by the
-  degree-2n weight coefficients give genuine rational control points
-  for the derivative.
-
-A finite-difference estimate is included as an independent check.
+`build_derivative_form` writes r'(t) as an explicit rational Bezier
+curve of degree 2n, built from the control data alone.  Its numerator
+is the product-rule numerator p'(t) w(t) - p(t) w'(t), elevated once to
+degree 2n; its denominator is the squared weight function.  Dividing
+the numerator points by the degree-2n weight coefficients gives genuine
+rational control points for the derivative.  The maximizer and the
+bounds read the form's homogeneous rows; the explicit evaluators
+evaluate them by de Casteljau.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid, elevate_chain
-from .curve import RationalBezierCurve, _check_t, _rational, eval_point
+from ._kernels import elevate_chain
+from .curve import RationalBezierCurve, _check_t, _rational
 
 
 @dataclass(frozen=True)
@@ -62,50 +59,12 @@ class DerivativeForm:
     def control_points(self) -> np.ndarray:
         return self.rows[:, :-1] / self.rows[:, -1:]
 
-    def homogeneous(self) -> np.ndarray:
-        """The stored rows (n * numerator_points | weights), for rational evaluation."""
-        return self.rows
-
 
 def _require_positive_degree(curve: RationalBezierCurve) -> int:
     n = curve.degree
     if n < 1:
         raise ValueError("derivative of a degree-0 curve (a point) is undefined")
     return n
-
-
-def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
-    """Bernstein coefficients D_i of the compact derivative numerator.
-
-    D_i = (1 / C(2n-2, i)) * sum_j (i - 2j + 1) C(n, j) C(n, i-j+1)
-          w_j w_{i-j+1} (p_{i-j+1} - p_j),
-    summed over j from max(0, i-n+1) to floor(i/2), for i = 0 .. 2n-2.
-    Returns the read-only (2n-1, d) array of the D_i, the degree-(2n-2)
-    numerator of r'(t) = sum D_i B_i^{2n-2}(t) / w(t)^2.  Raises
-    ValueError when a term leaves the float range.
-    """
-    n = _require_positive_degree(curve)
-    p = curve.points
-    cw = _binomials(n) * curve.weights
-    terms = np.empty((2 * n - 1, curve.dimension))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(2 * n - 1):
-            j = np.arange(max(0, i - n + 1), i // 2 + 1)
-            k = i - j + 1
-            terms[i] = ((i - 2 * j + 1) * cw[j] * cw[k]) @ (p[k] - p[j])
-        terms /= _binomials(2 * n - 2)[:, None]
-    if not np.isfinite(terms).all():
-        raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
-    terms.setflags(write=False)
-    return terms
-
-
-def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarray:
-    """Evaluate r'(t) through the compact numerator form."""
-    terms = sederberg_terms(curve)
-    ts = np.array([_check_t(t)])
-    w = decasteljau_grid(curve.weights[:, None], ts)[0, 0]
-    return decasteljau_grid(terms, ts)[0] / (w * w)
 
 
 def _binomials(m: int) -> np.ndarray:
@@ -192,40 +151,19 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
 
 def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
     """Evaluate r'(t) from the explicit form by homogeneous de Casteljau."""
-    return _rational(form.homogeneous(), np.array([_check_t(t)]))[0]
+    return _rational(form.rows, np.array([_check_t(t)]))[0]
 
 
 def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.ndarray:
     """Vectorized `eval_derivative_explicit` over a parameter array.
 
-    Raises ValueError unless every t is finite and in [0, 1].
+    Raises ValueError unless `ts` is 1-d and every t is finite and in
+    [0, 1].
     """
     ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError(f"parameters must form a 1-d array, got shape {ts.shape}")
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if outside.any():
         raise ValueError(f"parameter t={ts[outside][0]} outside [0, 1]")
-    return _rational(form.homogeneous(), ts)
-
-
-def finite_difference(curve: RationalBezierCurve, t: float, h: float = 1e-6) -> np.ndarray:
-    """Second-order finite-difference estimate of r'(t).
-
-    Central difference in the interior; one-sided three-point stencils
-    when t - h or t + h would leave [0, 1].
-    """
-    t = _check_t(t)
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if 2.0 * h >= 1.0:
-        raise ValueError("step h too large for [0, 1]")
-    if t - h < 0.0:
-        f0 = eval_point(curve, t)
-        f1 = eval_point(curve, t + h)
-        f2 = eval_point(curve, t + 2.0 * h)
-        return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-    if t + h > 1.0:
-        f0 = eval_point(curve, t)
-        f1 = eval_point(curve, t - h)
-        f2 = eval_point(curve, t - 2.0 * h)
-        return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    return (eval_point(curve, t + h) - eval_point(curve, t - h)) / (2.0 * h)
+    return _rational(form.rows, ts)

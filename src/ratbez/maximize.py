@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import max_norm_ratio, split
+from ._kernels import _rowwise_norm, split
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm, build_derivative_form
 
@@ -34,17 +34,13 @@ class MaximizerResult:
     pieces: int
 
 
-def _value(row: np.ndarray) -> float:
-    """|r'| at a piece end: the homogeneous row's point norm over its weight."""
-    return max_norm_ratio(row[None, :-1], row[-1:])[0]
-
-
 def _entry(piece: np.ndarray, a: float, width: float):
-    """Heap entry (-upper, a, width, piece) for the piece over [a, a + width]."""
+    """Heap entry (-upper, a, width, piece) for the piece over [a, a + width],
+    and |r'| at its two ends, all from one scan of its rows' norm/weight."""
     # a power-of-two scale keeps halving from underflowing, and every ratio its bits
     piece = np.ldexp(piece, -np.frexp(piece[:, -1].max())[1])
-    upper, _ = max_norm_ratio(piece[:, :-1], piece[:, -1])
-    return -upper, a, width, piece
+    ratios = _rowwise_norm(piece[:, :-1]) / piece[:, -1]
+    return (-float(ratios.max()), a, width, piece), float(ratios[0]), float(ratios[-1])
 
 
 def maximize_derivative_norm(
@@ -61,20 +57,18 @@ def maximize_derivative_norm(
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     # build_derivative_form refuses degree 0
     form = curve if isinstance(curve, DerivativeForm) else build_derivative_form(curve)
-    root = form.homogeneous()
-    best, argmax_t = _value(root[0]), 0.0
-    if _value(root[-1]) > best:
-        best, argmax_t = _value(root[-1]), 1.0
-    heap = [_entry(root, 0.0, 1.0)]
+    root, start, end = _entry(form.rows, 0.0, 1.0)
+    best, argmax_t = (end, 1.0) if end > start else (start, 0.0)
+    heap = [root]
     pieces = 1
     while -heap[0][0] - best > tol * best and heap[0][2] > _MIN_WIDTH:
         _, a, width, piece = heapq.heappop(heap)
         left, right = split(piece)
         half = 0.5 * width
-        mid = _value(left[-1])
+        entry, _, mid = _entry(left, a, half)
         if mid > best:
             best, argmax_t = mid, a + half
-        heapq.heappush(heap, _entry(left, a, half))
-        heapq.heappush(heap, _entry(right, a + half, half))
+        heapq.heappush(heap, entry)
+        heapq.heappush(heap, _entry(right, a + half, half)[0])
         pieces += 1
     return MaximizerResult(max_value=best, argmax_t=argmax_t, upper=-heap[0][0], pieces=pieces)

@@ -1,22 +1,34 @@
 """Independent reference implementations used as test oracles.
 
-Everything here deliberately avoids the library's evaluation paths:
+Most of these deliberately avoid the library's evaluation paths:
 binomials come from an additive Pascal triangle, curve values from
 direct basis summation, elevated coefficients from the one-shot
 binomial-product formula (and, for bitwise checks, from the textbook
 row-major elevation step), the derivative's numerator points from the
 product formula in exact rational arithmetic, and the degree-11 family
 fixture from its explicit rational-function form.
+
+The compact derivative numerator (after Sederberg), the Bernstein
+helpers and the finite-difference estimate live here too, since only
+tests call them.  `decasteljau`, `eval_weight` and
+`eval_derivative_sederberg` evaluate through the library's
+`decasteljau_grid` kernel, and `finite_difference` through its
+`eval_point`; `sederberg_terms` shares only its float binomials with the
+library.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from ratbez import RationalBezierCurve, bernstein
+from ratbez import RationalBezierCurve, eval_point
+from ratbez._kernels import decasteljau_grid
+from ratbez.curve import _check_t
+from ratbez.derivative import _binomials, _require_positive_degree
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -102,6 +114,111 @@ def exact_intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
             )
             out[j, c] = float(Fraction(total, comb(2 * n - 1, j) * wscale * wscale * pscale))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bernstein helpers, the compact (Sederberg) derivative numerator and the
+# finite-difference estimate
+
+def binomial(n: int, k: int) -> int:
+    """Exact binomial coefficient C(n, k) as a Python int.
+
+    Raises ValueError for negative arguments or k > n.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"binomial arguments must be nonnegative, got n={n}, k={k}")
+    if k > n:
+        raise ValueError(f"binomial upper index exceeded: k={k} > n={n}")
+    return math.comb(n, k)
+
+
+def bernstein(n: int, i: int, t: float) -> float:
+    """Bernstein basis value B_i^n(t) = C(n, i) t^i (1 - t)^(n - i).
+
+    Raises ValueError where C(n, i) exceeds the float range.
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"basis index out of range: i={i}, n={n}")
+    _check_t(t)
+    try:
+        coef = float(binomial(n, i))
+    except OverflowError:
+        raise ValueError(f"binomial({n}, {i}) exceeds the float range") from None
+    # Python's float power gives 0.0 ** 0 == 1.0, matching the convention
+    return coef * t**i * (1.0 - t) ** (n - i)
+
+
+def decasteljau(values, t: float):
+    """Evaluate one Bernstein coefficient set (scalar or vector rows) at t."""
+    arr = np.asarray(values, dtype=np.float64)
+    scalar = arr.ndim == 1
+    if scalar:
+        arr = arr[:, None]
+    res = decasteljau_grid(arr, np.array([_check_t(t)]))[0]
+    return float(res[0]) if scalar else res
+
+
+def eval_weight(curve: RationalBezierCurve, t: float) -> float:
+    """Evaluate the weight function w(t) = sum_i w_i B_i^n(t); always > 0."""
+    return decasteljau(curve.weights, t)
+
+
+def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
+    """Bernstein coefficients D_i of the compact derivative numerator.
+
+    D_i = (1 / C(2n-2, i)) * sum_j (i - 2j + 1) C(n, j) C(n, i-j+1)
+          w_j w_{i-j+1} (p_{i-j+1} - p_j),
+    summed over j from max(0, i-n+1) to floor(i/2), for i = 0 .. 2n-2.
+    Returns the read-only (2n-1, d) array of the D_i, the degree-(2n-2)
+    numerator of r'(t) = sum D_i B_i^{2n-2}(t) / w(t)^2.  Raises
+    ValueError when a term leaves the float range.
+    """
+    n = _require_positive_degree(curve)
+    p = curve.points
+    cw = _binomials(n) * curve.weights
+    terms = np.empty((2 * n - 1, curve.dimension))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2 * n - 1):
+            j = np.arange(max(0, i - n + 1), i // 2 + 1)
+            k = i - j + 1
+            terms[i] = ((i - 2 * j + 1) * cw[j] * cw[k]) @ (p[k] - p[j])
+        terms /= _binomials(2 * n - 2)[:, None]
+    if not np.isfinite(terms).all():
+        raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
+    terms.setflags(write=False)
+    return terms
+
+
+def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarray:
+    """Evaluate r'(t) through the compact numerator form."""
+    terms = sederberg_terms(curve)
+    ts = np.array([_check_t(t)])
+    w = decasteljau_grid(curve.weights[:, None], ts)[0, 0]
+    return decasteljau_grid(terms, ts)[0] / (w * w)
+
+
+def finite_difference(curve: RationalBezierCurve, t: float, h: float = 1e-6) -> np.ndarray:
+    """Second-order finite-difference estimate of r'(t).
+
+    Central difference in the interior; one-sided three-point stencils
+    when t - h or t + h would leave [0, 1].
+    """
+    t = _check_t(t)
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if 2.0 * h >= 1.0:
+        raise ValueError("step h too large for [0, 1]")
+    if t - h < 0.0:
+        f0 = eval_point(curve, t)
+        f1 = eval_point(curve, t + h)
+        f2 = eval_point(curve, t + 2.0 * h)
+        return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+    if t + h > 1.0:
+        f0 = eval_point(curve, t)
+        f1 = eval_point(curve, t - h)
+        f2 = eval_point(curve, t - 2.0 * h)
+        return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+    return (eval_point(curve, t + h) - eval_point(curve, t - h)) / (2.0 * h)
 
 
 def random_curve(rng: np.random.Generator, n: int, d: int) -> RationalBezierCurve:

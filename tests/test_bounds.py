@@ -134,7 +134,7 @@ def test_elevation_bound_constant_derivative_is_tight():
         assert report.value == pytest.approx(expected, rel=1e-12)
     # the reported index is the first grid row achieving the reported value
     report = elevation_bound(form, 0)
-    stacked = form.homogeneous()
+    stacked = form.rows
     ratios = np.sqrt((stacked[:, :-1] ** 2).sum(axis=1)) / stacked[:, -1]
     assert report.value == ratios[report.argmax_index]
     assert report.argmax_index == int(np.argmax(ratios))
@@ -188,7 +188,7 @@ def test_elevation_bound_matches_product_formula():
     # iterated one-step elevation == closed-form product coefficients
     curve = counterexample_family(2)
     form = build_derivative_form(curve)
-    stacked = form.homogeneous()
+    stacked = form.rows
     from ratbez._kernels import elevate_chain
 
     for e in range(9):

@@ -11,23 +11,27 @@ from hypothesis import strategies as st
 import ratbez.curve
 from ratbez import (
     RationalBezierCurve,
-    bernstein,
-    binomial,
     build_derivative_form,
     counterexample_family,
     curve_from_json_obj,
     curve_to_json_obj,
-    decasteljau,
     eval_point,
-    eval_weight,
-    finite_difference,
     load_curve,
     save_curve,
     table1_row,
 )
 from ratbez.curve import _problems
 
-from oracles import basis_value, pascal_binomial, rational_point
+from oracles import (
+    basis_value,
+    bernstein,
+    binomial,
+    decasteljau,
+    eval_weight,
+    finite_difference,
+    pascal_binomial,
+    rational_point,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ from ratbez import (
     elevation_bound,
     eval_derivative_explicit,
     eval_derivative_explicit_many,
-    eval_derivative_sederberg,
-    eval_weight,
-    finite_difference,
     intermediate_points,
-    sederberg_terms,
 )
 
-from oracles import basis_value, exact_intermediate_points, random_curve
+from oracles import (
+    basis_value,
+    eval_derivative_sederberg,
+    eval_weight,
+    exact_intermediate_points,
+    finite_difference,
+    random_curve,
+    sederberg_terms,
+)
 
 
 def _benign_curve(rng, n, d):
@@ -47,9 +51,8 @@ def test_derivative_form_shapes():
     assert form.weights.shape == (7,)
     assert form.numerator_points.shape == (7, 2)
     assert form.control_points.shape == (7, 2)
-    assert form.homogeneous().shape == (7, 3)
-    assert form.homogeneous() is form.homogeneous()
-    assert not form.homogeneous().flags.writeable
+    assert form.rows.shape == (7, 3)
+    assert not form.rows.flags.writeable
 
 
 def test_sederberg_terms_line_segment():
@@ -90,7 +93,7 @@ def test_common_weight_scale_is_divided_out():
     points = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
     huge = build_derivative_form(RationalBezierCurve(points, [1e200] * 3))
     unit = build_derivative_form(RationalBezierCurve(points, [1.0] * 3))
-    assert np.array_equal(huge.homogeneous(), unit.homogeneous())
+    assert np.array_equal(huge.rows, unit.rows)
     assert elevation_bound(huge, 100).value == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
 
 
@@ -195,7 +198,7 @@ def test_numerator_points_are_elevated_intermediates():
     # the form stores n * N; dividing by n again may move a value by one ulp
     curve = counterexample_family(5)
     n = curve.degree
-    rows = build_derivative_form(curve).homogeneous()[:, :-1]
+    rows = build_derivative_form(curve).rows[:, :-1]
     inter = intermediate_points(curve)
     m = inter.shape[0] - 1  # degree 2n - 1
     lam = (np.arange(1, m + 1) / (m + 1.0))[:, None]
@@ -280,6 +283,9 @@ def test_eval_derivative_explicit_many_checks_parameters():
     form = build_derivative_form(counterexample_family(3))
     for ts in ([2.0, -1.0, np.nan], [0.5, 1.5], [-0.0, -1e-300], [np.nan], [0.2, np.inf]):
         with pytest.raises(ValueError, match="outside"):
+            eval_derivative_explicit_many(form, ts)
+    for ts in ([[0.1, 0.2], [0.3, 0.4]], 0.5):
+        with pytest.raises(ValueError, match=r"1-d array, got shape \("):
             eval_derivative_explicit_many(form, ts)
     assert eval_derivative_explicit_many(form, []).shape == (0, 2)
     assert eval_derivative_explicit_many(form, [-0.0, 1.0]).shape == (2, 2)

@@ -43,13 +43,6 @@ def test_grid_crosses_chunk_boundary():
     assert got.shape == (8292, 2)
 
 
-def test_grid_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        decasteljau_grid(np.zeros((2, 2, 2)), np.array([0.5]))
-    with pytest.raises(ValueError):
-        decasteljau_grid(np.zeros((0, 2)), np.array([0.5]))
-
-
 def test_elevate_zero_steps_copies():
     coeffs = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = elevate_chain(coeffs, 0)
@@ -71,19 +64,6 @@ def test_elevate_preserves_values():
     assert np.allclose(before, after, rtol=1e-12, atol=1e-12)
 
 
-def test_elevate_rejects_negative_steps():
-    with pytest.raises(ValueError):
-        elevate_chain(np.zeros((2, 1)), -1)
-
-
-def test_elevate_rejects_non_integer_steps():
-    coeffs = np.zeros((2, 1))
-    for steps in (2.5, 2.0, np.float64(3.0), True, "3", None):
-        with pytest.raises(ValueError, match="integer"):
-            elevate_chain(coeffs, steps)
-    assert elevate_chain(coeffs, np.int32(3)).shape == (5, 1)
-
-
 def _same_bits(a, b):
     # tobytes() reads in C order whatever the memory layout
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -101,7 +81,7 @@ def test_elevate_matches_textbook_step_bitwise():
 
 
 def test_elevate_family_form_to_8000_bitwise():
-    stacked = build_derivative_form(counterexample_family(30)).homogeneous()
+    stacked = build_derivative_form(counterexample_family(30)).rows
     got = elevate_chain(stacked, 8000)
     assert got.shape == (61 + 8000, 3)
     assert _same_bits(got, elevate_chain_reference(stacked, 8000))
