@@ -70,11 +70,11 @@ def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
     return BoundReport(value=value, method="conjecture", weight_ratio=ratio)
 
 
-def _step_count(steps) -> int:
-    """`steps` as a Python int; ValueError unless it is a Python or numpy
-    integer (a bool or a float is refused, even 2.0)."""
+def _step_count(steps, what: str = "step count") -> int:
+    """`steps` as a Python int; ValueError naming `what` unless it is a
+    Python or numpy integer (a bool or a float is refused, even 2.0)."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"step count must be an integer, got {steps!r}")
+        raise ValueError(f"{what} must be an integer, got {steps!r}")
     return int(steps)
 
 

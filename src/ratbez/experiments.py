@@ -16,14 +16,19 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import conjecture_bound, elevation_bound
 from .curve import RationalBezierCurve
 from .derivative import build_derivative_form
 from .maximize import maximize_derivative_norm
 
+# the header of the results-table CSV: one column per Table1Row field, in order
 CSV_COLUMNS = ["n", "max_deriv", "t", "conjecture", "elevation_bound", "e", "runtime_s", "verdict"]
+# how a cell is written and read, by the Table1Row field's annotation (a
+# string under `from __future__ import annotations`)
+_WRITERS = {"int": str, "float": "{:.6f}".format, "str": str}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -108,16 +113,7 @@ def rows_to_csv(rows: list[Table1Row]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            str(row.degree),
-            f"{row.max_first_derivative:.6f}",
-            f"{row.argmax_t:.6f}",
-            f"{row.conjectured_bound:.6f}",
-            f"{row.elevation_bound:.6f}",
-            str(row.elevation_steps),
-            f"{row.runtime_seconds:.6f}",
-            row.verdict,
-        ])
+        writer.writerow([_WRITERS[f.type](getattr(row, f.name)) for f in fields(Table1Row)])
     return buf.getvalue()
 
 
@@ -136,18 +132,13 @@ def read_table1_csv(path: str) -> list[Table1Row]:
                 raise ValueError(f"not a results-table CSV: header {header}")
             rows = []
             for record in reader:
-                if len(record) != len(CSV_COLUMNS):
-                    raise ValueError(f"bad CSV record: {record}")
-                rows.append(Table1Row(
-                    degree=int(record[0]),
-                    max_first_derivative=float(record[1]),
-                    argmax_t=float(record[2]),
-                    conjectured_bound=float(record[3]),
-                    elevation_bound=float(record[4]),
-                    elevation_steps=int(record[5]),
-                    runtime_seconds=float(record[6]),
-                    verdict=record[7],
-                ))
+                try:
+                    if len(record) != len(CSV_COLUMNS):
+                        raise ValueError(f"bad CSV record: {record}")
+                    rows.append(Table1Row(*(_PARSERS[f.type](value)
+                                            for f, value in zip(fields(Table1Row), record))))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     if not rows:

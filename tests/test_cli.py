@@ -290,6 +290,18 @@ def test_plot_bad_samples(fam2_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_non_finite_overlay_is_bad_input(fam2_file, tmp_path, capsys):
+    for bound in ("nan", "inf"):
+        out_svg = tmp_path / f"{bound}.svg"
+        code = main([
+            "plot", fam2_file, "--kind", "derivative_norm",
+            "--overlay-bound", bound, "--out", str(out_svg),
+        ])
+        assert code == 2
+        assert "plot data must be finite" in capsys.readouterr().err
+        assert not out_svg.exists()
+
+
 def test_plot_unwritable_output_is_io_error(fam2_file, tmp_path):
     code = main([
         "plot", fam2_file, "--kind", "curve",

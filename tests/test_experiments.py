@@ -110,6 +110,16 @@ def test_read_csv_rejects_wrong_header(tmp_path):
         read_table1_csv(str(path))
 
 
+def test_read_csv_names_the_bad_record(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = rows_to_csv([table1_row(2, e=10)]).rstrip("\n")
+    for bad in ("x,1.0,0.5,4.0,4.0,10,0.1,holds", "2,1.0,0.5,4.0,4.0,ten,0.1,holds",
+                "2,1.0,half,4.0,4.0,10,0.1,holds", "2,1.0,0.5"):
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+            read_table1_csv(str(path))
+
+
 def test_read_csv_rejects_missing_file(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         read_table1_csv(str(tmp_path / "absent.csv"))
