@@ -1,12 +1,12 @@
 """Hot numeric kernels: de Casteljau evaluation over parameter grids,
-subdivision at t = 1/2, repeated one-step degree elevation, and the max
-norm-over-weight scan.
+subdivision at t = 1/2, repeated one-step degree elevation, and the
+convex-hull scan of norm over weight.
 
 Each kernel is one vectorized numpy body.  The kernels check nothing:
 the public functions that call them validate every argument once.
-``decasteljau_grid``, ``elevate_chain`` and ``max_norm_ratio`` coerce
-their arrays to float64 first; ``split`` takes the maximizer's own arrays
-as they are.  ``elevate_chain`` works coordinate-major: each coordinate
+``decasteljau_grid`` and ``elevate_chain`` coerce their arrays to float64
+first; ``split`` and ``hull_ratios`` take the callers' float arrays as
+they are.  ``elevate_chain`` works coordinate-major: each coordinate
 is one contiguous row of a buffer sized for the whole chain, updated in
 place with ``out=`` ufuncs, and it returns that buffer transposed.
 Norms are Euclidean throughout.
@@ -97,10 +97,6 @@ def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
     return out.T
 
 
-def max_norm_ratio(nums: np.ndarray, wts: np.ndarray):
-    """Return (max_i |nums[i]| / wts[i], argmax index), first index on ties."""
-    nums = np.ascontiguousarray(nums, dtype=np.float64)
-    wts = np.ascontiguousarray(wts, dtype=np.float64)
-    ratios = _rowwise_norm(nums) / wts
-    i = int(np.argmax(ratios))
-    return float(ratios[i]), i
+def hull_ratios(rows: np.ndarray) -> np.ndarray:
+    """|point| / weight of every homogeneous row (point | weight)."""
+    return _rowwise_norm(rows[:, :-1]) / rows[:, -1]

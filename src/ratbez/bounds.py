@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, elevate_chain, max_norm_ratio
+from ._kernels import _rowwise_norm, elevate_chain, hull_ratios
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """A computed derivative bound and how it was obtained.
 
@@ -79,7 +79,7 @@ def _step_count(steps, what: str = "step count") -> int:
 
 
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
-    """(e, bound, argmax index) at each step count of ascending `e_list`,
+    """(e, bound, first argmax row) at each step count of ascending `e_list`,
     from one elevation chain of max(e_list) steps."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
@@ -90,7 +90,9 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
     stacked, done = form.rows, 0
     for e in steps:
         stacked, done = elevate_chain(stacked, e - done), e
-        out.append((e, *max_norm_ratio(stacked[:, :-1], stacked[:, -1])))
+        ratios = hull_ratios(stacked)
+        i = int(np.argmax(ratios))
+        out.append((e, float(ratios[i]), i))
     return out
 
 

@@ -42,13 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="locate the derivative-magnitude peak")
     p.add_argument("curve", help="curve JSON file, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative width of the enclosure")
 
     p = sub.add_parser("table1", help="bound-violation sweep over the curve family")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--e", type=int, default=1000, help="elevation steps (default 1000)")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("plot", help="render an SVG chart")
@@ -82,13 +80,13 @@ def cmd_bound(args) -> int:
 
 def cmd_maximize(args) -> int:
     curve = load_curve(args.curve)
-    result = maximize_derivative_norm(curve, tol=args.tol)
+    result = maximize_derivative_norm(curve)
     print(f"{result.max_value:.6f} @ t={result.argmax_t:.6f}")
     return 0
 
 
 def cmd_table1(args) -> int:
-    rows = run_table1(args.n_min, args.n_max, e=args.e, tol=args.tol)
+    rows = run_table1(args.n_min, args.n_max, e=args.e)
     write_table1_csv(rows, args.out)
     violated = [r.degree for r in rows if r.verdict == "violated"]
     if not violated:

@@ -54,7 +54,7 @@ def _problems(points: np.ndarray, weights: np.ndarray) -> list[str]:
     return errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalBezierCurve:
     """Immutable rational Bezier curve: control points plus positive weights.
 

@@ -21,7 +21,7 @@ from ._kernels import elevate_chain
 from .curve import RationalBezierCurve, _check_t, _rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivativeForm:
     """Explicit degree-2n rational representation of r'(t).
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -23,15 +24,29 @@ from .curve import RationalBezierCurve
 from .derivative import build_derivative_form
 from .maximize import maximize_derivative_norm
 
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _verdict(text: str) -> str:
+    if text not in ("holds", "violated"):
+        raise ValueError(f"verdict must be 'holds' or 'violated', got {text!r}")
+    return text
+
+
 # the header of the results-table CSV: one column per Table1Row field, in order
 CSV_COLUMNS = ["n", "max_deriv", "t", "conjecture", "elevation_bound", "e", "runtime_s", "verdict"]
 # how a cell is written and read, by the Table1Row field's annotation (a
-# string under `from __future__ import annotations`)
+# string under `from __future__ import annotations`; the verdict is the one str)
 _WRITERS = {"int": str, "float": "{:.6f}".format, "str": str}
-_PARSERS = {"int": int, "float": float, "str": str}
+_PARSERS = {"int": int, "float": _finite, "str": _verdict}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table1Row:
     """One degree's comparison of measured peak against both bounds.
 
@@ -62,7 +77,7 @@ def counterexample_family(n: int) -> RationalBezierCurve:
     return RationalBezierCurve(points, weights)
 
 
-def table1_row(n: int, e: int = 1000, tol: float = 1e-10) -> Table1Row:
+def table1_row(n: int, e: int = 1000) -> Table1Row:
     """Compute one comparison row for the degree-n family member.
 
     The derivative form is built once and serves both the maximizer and
@@ -71,7 +86,7 @@ def table1_row(n: int, e: int = 1000, tol: float = 1e-10) -> Table1Row:
     """
     curve = counterexample_family(n)
     form = build_derivative_form(curve)
-    peak = maximize_derivative_norm(form, tol=tol)
+    peak = maximize_derivative_norm(form)
     conj = conjecture_bound(curve)
     start = time.perf_counter()
     elev = elevation_bound(form, e)
@@ -89,19 +104,14 @@ def table1_row(n: int, e: int = 1000, tol: float = 1e-10) -> Table1Row:
     )
 
 
-def run_table1(
-    n_min: int = 2,
-    n_max: int = 20,
-    e: int = 1000,
-    tol: float = 1e-10,
-) -> list[Table1Row]:
+def run_table1(n_min: int = 2, n_max: int = 20, e: int = 1000) -> list[Table1Row]:
     """Comparison rows for every degree in [n_min, n_max]; forms build up to 514."""
     if not 2 <= n_min <= n_max <= 514:
         raise ValueError(f"degree range must satisfy 2 <= n_min <= n_max <= 514, got [{n_min}, {n_max}]")
     rows = []
     for n in range(n_min, n_max + 1):
         try:
-            rows.append(table1_row(n, e=e, tol=tol))
+            rows.append(table1_row(n, e=e))
         except Exception as exc:
             raise RuntimeError(f"table row for degree {n} failed: {exc}") from exc
     return rows

@@ -4,7 +4,7 @@ The explicit derivative form is a rational Bezier curve with positive
 weights, so on each de Casteljau piece of it max |n N_i| / W_i bounds
 |r'| (convex hull property), and the end rows give attained values.
 Branch and bound halves the piece with the largest bound until the best
-attained value is within `tol` of it.  In exact arithmetic
+attained value is within a relative 1e-10 of it.  In exact arithmetic
 [max_value, upper] encloses the supremum; `upper` has no allowance for
 rounding.  Ties resolve to the smallest parameter.
 """
@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, split
+from ._kernels import hull_ratios, split
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm, build_derivative_form
 
+_REL_GAP = 1e-10
 _MIN_WIDTH = 2.0 ** -40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaximizerResult:
     """The peak max_value = |r'(argmax_t)|, the largest convex-hull bound
     `upper` over the final pieces, and how many pieces [0, 1] was cut into."""
@@ -39,29 +40,25 @@ def _entry(piece: np.ndarray, a: float, width: float):
     and |r'| at its two ends, all from one scan of its rows' norm/weight."""
     # a power-of-two scale keeps halving from underflowing, and every ratio its bits
     piece = np.ldexp(piece, -np.frexp(piece[:, -1].max())[1])
-    ratios = _rowwise_norm(piece[:, :-1]) / piece[:, -1]
+    ratios = hull_ratios(piece)
     return (-float(ratios.max()), a, width, piece), float(ratios[0]), float(ratios[-1])
 
 
-def maximize_derivative_norm(
-    curve: RationalBezierCurve | DerivativeForm, tol: float = 1e-10
-) -> MaximizerResult:
+def maximize_derivative_norm(curve: RationalBezierCurve | DerivativeForm) -> MaximizerResult:
     """Enclose sup over [0, 1] of the Euclidean norm |r'(t)|.
 
     Takes the curve, or its derivative form as `build_derivative_form`
     returns it (then used as is, without a second build).  Stops once
-    upper - max_value <= tol * max_value (at once where r' is zero), or
+    upper - max_value <= 1e-10 * max_value (at once where r' is zero), or
     when the piece with the largest bound is 2^-40 wide.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     # build_derivative_form refuses degree 0
     form = curve if isinstance(curve, DerivativeForm) else build_derivative_form(curve)
     root, start, end = _entry(form.rows, 0.0, 1.0)
     best, argmax_t = (end, 1.0) if end > start else (start, 0.0)
     heap = [root]
     pieces = 1
-    while -heap[0][0] - best > tol * best and heap[0][2] > _MIN_WIDTH:
+    while -heap[0][0] - best > _REL_GAP * best and heap[0][2] > _MIN_WIDTH:
         _, a, width, piece = heapq.heappop(heap)
         left, right = split(piece)
         half = 0.5 * width

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratbez import (
+    DerivativeForm,
     RationalBezierCurve,
     bound_profile,
     build_derivative_form,
@@ -14,6 +17,8 @@ from ratbez import (
     maximize_derivative_norm,
     weight_ratio,
 )
+
+from ratbez._kernels import elevate_chain
 
 from oracles import elevation_product_coeffs, random_curve
 
@@ -140,6 +145,32 @@ def test_elevation_bound_constant_derivative_is_tight():
     assert report.argmax_index == int(np.argmax(ratios))
 
 
+def test_elevation_bound_ties_take_first_index():
+    # rows (3, 4), (4, 3) and (5, 0) over unit weights all reach 5
+    form = DerivativeForm(1, [[3.0, 4.0, 1.0], [4.0, 3.0, 1.0], [5.0, 0.0, 1.0]])
+    report = elevation_bound(form, 0)
+    assert report.value == pytest.approx(5.0)
+    assert report.argmax_index == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0, 1, 7, 50]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_elevation_bound_reports_the_first_largest_row(n, d, e, seed):
+    # the bound and its index against plain numpy norms of the elevated rows
+    form = build_derivative_form(random_curve(np.random.default_rng(seed), n, d))
+    rows = elevate_chain(form.rows, e)
+    points = rows[:, :-1]
+    ratios = np.sqrt((points * points).sum(axis=1)) / rows[:, -1]
+    report = elevation_bound(form, e)
+    assert report.argmax_index == int(np.argmax(ratios))
+    assert report.value == ratios[report.argmax_index]
+
+
 def test_elevation_bound_tight_for_two_point_curve():
     # w = (1, 2), p = (0,0) -> (1,0): r'(t) = 2 / (1+t)^2, sup = 2 at t = 0.
     # The derivative's control points are (2,0), (1,0), (0.5,0), so the
@@ -189,8 +220,6 @@ def test_elevation_bound_matches_product_formula():
     curve = counterexample_family(2)
     form = build_derivative_form(curve)
     stacked = form.rows
-    from ratbez._kernels import elevate_chain
-
     for e in range(9):
         got = elevate_chain(stacked, e)
         ref = elevation_product_coeffs(stacked, e)

@@ -196,9 +196,15 @@ def test_maximize_huge_common_weight_matches_unit_weights(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2.828427 @ t=0.000000"
 
 
-def test_maximize_rejects_bad_tol(fam11_file, capsys):
-    assert main(["maximize", fam11_file, "--tol", "2"]) == 2
-    assert "tol" in capsys.readouterr().err
+def test_maximize_rejects_bad_tol(fam11_file, tmp_path, capsys):
+    # the stopping rule is fixed; argparse refuses any --tol option
+    for argv in (["maximize", fam11_file, "--tol", "1e-8"],
+                 ["table1", "--tol", "1e-8", "--out", str(tmp_path / "x.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,21 @@ def test_plot_kind_input_mismatch(fam2_file, tmp_path, capsys):
     ])
     assert code == 2
     assert "not a results-table CSV" in capsys.readouterr().err
+
+
+def test_plot_rejects_table_rows_the_writer_never_writes(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    assert main(["table1", "--n-min", "2", "--n-max", "3", "--e", "20", "--out", str(csv_path)]) == 0
+    good = csv_path.read_text()
+    capsys.readouterr()
+    for bad, message in (("4,nan,0.5,8.0,8.0,20,0.1,holds", "non-finite number 'nan'"),
+                         ("4,1.0,0.5,8.0,8.0,20,0.1,maybe", "verdict must be")):
+        csv_path.write_text(good + bad + "\n")
+        out_svg = tmp_path / "x.svg"
+        code = main(["plot", str(csv_path), "--kind", "bound_comparison", "--out", str(out_svg)])
+        assert code == 2
+        assert f"{csv_path}, line 4: {message}" in capsys.readouterr().err
+        assert not out_svg.exists()
 
 
 def test_plot_bad_samples(fam2_file, tmp_path, capsys):

@@ -120,6 +120,26 @@ def test_read_csv_names_the_bad_record(tmp_path):
             read_table1_csv(str(path))
 
 
+def test_read_csv_rejects_non_finite_numbers(tmp_path):
+    # write_table1_csv writes finite six-decimal floats only
+    path = tmp_path / "bad.csv"
+    good = rows_to_csv([table1_row(2, e=10)]).rstrip("\n")
+    for bad in ("2,nan,0.5,4.0,4.0,10,0.1,holds", "2,1.0,0.5,inf,4.0,10,0.1,holds",
+                "2,1.0,0.5,4.0,-inf,10,0.1,holds", "2,1.0,0.5,4.0,4.0,10,NaN,holds"):
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: non-finite number")):
+            read_table1_csv(str(path))
+
+
+def test_read_csv_rejects_unknown_verdicts(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = rows_to_csv([table1_row(2, e=10)]).rstrip("\n")
+    for verdict in ("maybe", "", "Holds", "violated "):
+        path.write_text(good + "\n" + f"2,1.0,0.5,4.0,4.0,10,0.1,{verdict}" + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: verdict must be")):
+            read_table1_csv(str(path))
+
+
 def test_read_csv_rejects_missing_file(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         read_table1_csv(str(tmp_path / "absent.csv"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ratbez import build_derivative_form, counterexample_family
-from ratbez._kernels import decasteljau_grid, elevate_chain, max_norm_ratio, split
+from ratbez._kernels import decasteljau_grid, elevate_chain, hull_ratios, split
 
 from oracles import basis_value, elevate_chain_reference
 
@@ -104,37 +104,31 @@ def test_elevate_layouts_and_dtypes():
         assert np.array_equal(coeffs, before)
 
 
-def test_max_norm_ratio_against_numpy_norms():
+def _unit_weights(nums):
+    return np.hstack([nums, np.ones((len(nums), 1))])
+
+
+def test_hull_ratios_against_numpy_norms():
     rng = np.random.default_rng(13)
     nums = _random_coeffs(rng, 50, 3)
     wts = rng.uniform(0.5, 2.0, size=50)
-    value, idx = max_norm_ratio(nums, wts)
-    ratios = np.linalg.norm(nums, axis=1) / wts
-    assert value == pytest.approx(ratios.max(), rel=1e-14)
-    assert idx == int(np.argmax(ratios))
+    ratios = hull_ratios(np.hstack([nums, wts[:, None]]))
+    assert ratios == pytest.approx(np.linalg.norm(nums, axis=1) / wts, rel=1e-14)
 
 
-def test_max_norm_ratio_ties_take_first_index():
-    nums = np.array([[3.0, 4.0], [4.0, 3.0], [5.0, 0.0]])
-    wts = np.ones(3)
-    value, idx = max_norm_ratio(nums, wts)
-    assert value == pytest.approx(5.0)
-    assert idx == 0
-
-
-def test_max_norm_ratio_power_of_two_row_scaling():
+def test_hull_ratios_power_of_two_row_scaling():
     # squares of 2^660-sized entries overflow; the row scaling keeps the
     # 3-4-5 triangle exact at both ends of the range
     for k in (660, -660):
         big = np.ldexp(np.array([[3.0, 4.0], [0.0, 0.0]]), k)
-        assert max_norm_ratio(big, np.ones(2)) == (np.ldexp(5.0, k), 0)
+        assert np.array_equal(hull_ratios(_unit_weights(big)), [np.ldexp(5.0, k), 0.0])
     # a power-of-two rescaled row gives its norm rescaled bit for bit
     rng = np.random.default_rng(16)
     nums = rng.uniform(-1.0, 1.0, size=(40, 3)) * np.ldexp(1.0, rng.integers(-60, 61, size=(40, 1)))
     for i in range(40):
-        row, base = nums[i : i + 1], max_norm_ratio(nums[i : i + 1], np.ones(1))[0]
+        row, base = nums[i : i + 1], hull_ratios(_unit_weights(nums[i : i + 1]))[0]
         for k in (-900, -1, 1, 900):
-            assert max_norm_ratio(np.ldexp(row, k), np.ones(1))[0] == np.ldexp(base, k)
+            assert hull_ratios(_unit_weights(np.ldexp(row, k)))[0] == np.ldexp(base, k)
 
 
 def test_split_halves_reproduce_the_coefficients():
