@@ -98,7 +98,7 @@ def cmd_table1(args) -> int:
             if contiguous and len(violated) > 1
             else "n = " + ", ".join(str(n) for n in violated)
         )
-        print(f"{len(violated)} violations ({span})")
+        print(f"{len(violated)} violation{'' if len(violated) == 1 else 's'} ({span})")
     return 0
 
 

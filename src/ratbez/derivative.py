@@ -12,12 +12,11 @@ evaluate them by de Casteljau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from ._kernels import elevate_chain
 from .curve import RationalBezierCurve, _check_t, _rational
 
 
@@ -29,7 +28,8 @@ class DerivativeForm:
     with r'(t) = sum n N_i B_i / sum W_i B_i.  The properties below are
     read off it:
 
-    weights            W_i, Bernstein coefficients of w(t)^2
+    weights            W_i, Bernstein coefficients of w(t)^2, up to
+                       the constant factor the weights were scaled by
     numerator_points   N_i, the product-rule numerator points
     control_points     Q_i = n * N_i / W_i, the derivative's own
                        rational control points
@@ -67,11 +67,12 @@ def _require_positive_degree(curve: RationalBezierCurve) -> int:
     return n
 
 
-def _binomials(m: int) -> np.ndarray:
-    try:
-        return np.array([float(math.comb(m, i)) for i in range(m + 1)])
-    except OverflowError:
-        raise ValueError(f"binomial coefficients of degree {m} exceed the float range") from None
+def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(m, i) for i = 0..m as mantissas f in [1/2, 1] and integer exponents e,
+    C(m, i) = f * 2**e, each f correctly rounded; no degree overflows."""
+    combs = list(accumulate(range(m), lambda c, i: c * (m - i) // (i + 1), initial=1))
+    exps = [c.bit_length() for c in combs]
+    return np.array([c / (1 << e) for c, e in zip(combs, exps)]), np.array(exps)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,11 +83,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum_j C(m, j) C(l, i-j) a_j b_{i-j} / C(m+l, i).
     """
     m, l = len(a) - 1, len(b) - 1
-    scaled = _binomials(m)[:, None] * a
+    (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)
+    scaled = fa[:, None] * a
     out = np.zeros((m + l + 1, a.shape[1]))
-    for j, bj in enumerate(_binomials(l) * b):
-        out[j : j + m + 1] += bj * scaled
-    return out / _binomials(m + l)[:, None]
+    for j, (bj, ej) in enumerate(zip(fb * b, eb)):
+        out[j : j + m + 1] += np.ldexp(bj * scaled, (ea + ej - es[j : j + m + 1])[:, None])
+    return out / fs[:, None]
 
 
 def derivative_weights(curve: RationalBezierCurve) -> np.ndarray:
@@ -110,40 +112,50 @@ def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
 
     over the pairs a < b with a + b in {j, j + 1}.  Each term carries a
     difference of two control points, so points far from the origin
-    cause no cancellation.  C(n, a) C(n, b) <= C(2n, a + b) stays finite
-    wherever the form builds, and it is divided by C(2n-1, j) before it
-    meets the factor b - a, so no coefficient exceeds 2n^2.
+    cause no cancellation.  The binomials' mantissas are multiplied and
+    divided, and their exponents applied to each finished term, so no
+    binomial leaves the float range, and a term underflows only where its
+    value does.
     """
     n = _require_positive_degree(curve)
     a, b = np.triu_indices(n + 1, 1)
-    binom, wide = _binomials(n), _binomials(2 * n - 1)
-    pair = binom[a] * binom[b]
+    (f, e), (fw, ew) = _binomials(n), _binomials(2 * n - 1)
+    pair, shift = f[a] * f[b], e[a] + e[b]
     w = curve.weights
     diff = (w[a] * w[b])[:, None] * (curve.points[b] - curve.points[a])
     out = np.zeros((2 * n, curve.dimension))
     for j in (a + b - 1, a + b):
-        np.add.at(out, j, (pair / wide[j] * (b - a))[:, None] * diff)
+        np.add.at(out, j, np.ldexp((pair / fw[j] * (b - a))[:, None] * diff, (shift - ew[j])[:, None]))
     return out / n
 
 
 def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     """Assemble the explicit degree-2n rational form of r'(t).
 
-    The degree-(2n-1) numerator points are elevated once so numerator and
-    squared-weight denominator share degree 2n, and the form stores them
-    beside the weights as the rows (n * N_i | W_i).  The weights are first
-    divided by their maximum, which leaves r' as it is.  Raises ValueError
-    when a squared-weight coefficient underflows, a numerator row
-    overflows, or the degree is past 514.
+    The degree-(2n-1) numerator points are elevated once, as a Bernstein
+    product with the constant 1, so numerator and squared-weight
+    denominator share degree 2n, and the form stores them beside the
+    weights as the rows (n * N_i | W_i).  The weights are first divided by
+    their maximum.  Where the smallest square would then fall below
+    2^-1020, they are also centred: multiplied by 2^-(e // 2), e the binary
+    exponent of the smallest, so the squared weights straddle 1.  Neither
+    step changes r', and weights whose squares are normal keep the largest
+    at 1, leaving the most room for large points.  Raises ValueError when
+    a squared-weight coefficient leaves the float range, which needs
+    weights spanning about 2^1020, or a numerator row overflows; the
+    family `counterexample_family(n)` builds through n = 1016.
     """
     n = _require_positive_degree(curve)
-    curve = RationalBezierCurve(curve.points, curve.weights / curve.weights.max())
+    w = curve.weights / curve.weights.max()
+    if w.min() < 2.0 ** -510:
+        w = np.ldexp(w, -(np.frexp(w.min())[1] // 2))
+    curve = RationalBezierCurve(curve.points, w)
     # out-of-range values are caught below, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         wts = derivative_weights(curve)
-        numerator = n * elevate_chain(intermediate_points(curve), 1)
-    if not (wts > 0.0).all():
-        raise ValueError("squared weight coefficients underflow to zero; the weight range is too wide")
+        numerator = n * _product(intermediate_points(curve), np.ones(2))
+    if not ((wts > 0.0) & (wts < np.inf)).all():
+        raise ValueError("squared weight coefficients leave the float range; the weight range is too wide")
     if not np.isfinite(numerator).all():
         raise ValueError("derivative numerator points overflow the float range")
     return DerivativeForm(n, np.hstack([numerator, wts[:, None]]))

@@ -38,8 +38,6 @@ class MaximizerResult:
 def _entry(piece: np.ndarray, a: float, width: float):
     """Heap entry (-upper, a, width, piece) for the piece over [a, a + width],
     and |r'| at its two ends, all from one scan of its rows' norm/weight."""
-    # a power-of-two scale keeps halving from underflowing, and every ratio its bits
-    piece = np.ldexp(piece, -np.frexp(piece[:, -1].max())[1])
     ratios = hull_ratios(piece)
     return (-float(ratios.max()), a, width, piece), float(ratios[0]), float(ratios[-1])
 

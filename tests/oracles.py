@@ -13,8 +13,11 @@ helpers and the finite-difference estimate live here too, since only
 tests call them.  `decasteljau`, `eval_weight` and
 `eval_derivative_sederberg` evaluate through the library's
 `decasteljau_grid` kernel, and `finite_difference` through its
-`eval_point`; `sederberg_terms` shares only its float binomials with the
-library.
+`eval_point`.  `sederberg_terms` shares no arithmetic with the library:
+it rounds its own exact integer binomials to floats, and raises
+ValueError where one exceeds the float range (C(1030, 515) is the first).
+`exact_derivative_norm` gives |r'(t)| from the control data in exact
+rational arithmetic, rounded only at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from ratbez import RationalBezierCurve, eval_point
 from ratbez._kernels import decasteljau_grid
 from ratbez.curve import _check_t
-from ratbez.derivative import _binomials, _require_positive_degree
+from ratbez.derivative import _require_positive_degree
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -116,6 +119,36 @@ def exact_intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
     return out
 
 
+def exact_derivative_norm(curve: RationalBezierCurve, t: float) -> float:
+    """|r'(t)| from the curve's control data in exact rational arithmetic.
+
+    With A = sum w_i p_i B_i^n, r' = (A' w - A w') / w^2.  At the dyadic
+    t = k / 2^q every basis value is C(m, i) k^i (2^q - k)^(m-i) / 2^(qm),
+    so all four sums are exact integers over known powers of two.  Each
+    coordinate is rounded once, and their norm is taken by math.hypot.
+    """
+    n = curve.degree
+    k, q = float(t).as_integer_ratio()
+    kp, up = [1], [1]
+    for _ in range(n):
+        kp.append(kp[-1] * k)
+        up.append(up[-1] * (q - k))
+
+    def at(coeffs):  # sum c_i B_i^m(t) for the m + 1 integers c_i
+        m = len(coeffs) - 1
+        return Fraction(sum(comb(m, i) * c * kp[i] * up[m - i] for i, c in enumerate(coeffs)), q**m)
+
+    w, wscale = _common_integers(curve.weights)
+    wt, dwt = at(w), n * at([w[i + 1] - w[i] for i in range(n)])
+    out = []
+    for c in range(curve.dimension):
+        p, pscale = _common_integers(curve.points[:, c])
+        a = [wi * pi for wi, pi in zip(w, p)]
+        da = [a[i + 1] - a[i] for i in range(n)]
+        out.append(float((n * at(da) * wt - at(a) * dwt) / (wt * wt * pscale)))
+    return math.hypot(*out)
+
+
 # ---------------------------------------------------------------------------
 # Bernstein helpers, the compact (Sederberg) derivative numerator and the
 # finite-difference estimate
@@ -163,6 +196,17 @@ def eval_weight(curve: RationalBezierCurve, t: float) -> float:
     return decasteljau(curve.weights, t)
 
 
+def _float_binomials(m: int) -> np.ndarray:
+    """C(m, i) for i = 0..m, each rounded once from the exact integer.
+
+    Raises ValueError where one exceeds the float range.
+    """
+    try:
+        return np.array([float(comb(m, i)) for i in range(m + 1)])
+    except OverflowError:
+        raise ValueError(f"binomial coefficients of degree {m} exceed the float range") from None
+
+
 def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
     """Bernstein coefficients D_i of the compact derivative numerator.
 
@@ -175,14 +219,14 @@ def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
     """
     n = _require_positive_degree(curve)
     p = curve.points
-    cw = _binomials(n) * curve.weights
+    cw = _float_binomials(n) * curve.weights
     terms = np.empty((2 * n - 1, curve.dimension))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(2 * n - 1):
             j = np.arange(max(0, i - n + 1), i // 2 + 1)
             k = i - j + 1
             terms[i] = ((i - 2 * j + 1) * cw[j] * cw[k]) @ (p[k] - p[j])
-        terms /= _binomials(2 * n - 2)[:, None]
+        terms /= _float_binomials(2 * n - 2)[:, None]
     if not np.isfinite(terms).all():
         raise ValueError(f"Sederberg numerator terms of degree {2 * n - 2} overflow the float range")
     terms.setflags(write=False)

@@ -14,6 +14,8 @@ import pytest
 from ratbez import RationalBezierCurve, counterexample_family, eval_point, load_curve, save_curve
 from ratbez.cli import main
 
+from oracles import exact_derivative_norm
+
 
 @pytest.fixture()
 def fam11_file(tmp_path):
@@ -148,10 +150,14 @@ def test_bound_elevation_without_elevating(fam11_file, capsys):
 
 
 def test_bound_past_the_float_range_exits_2(tmp_path, capsys):
-    # the degree-1040 form needs binomials past the float range
+    # the degree-1040 form of a 520-step line is in range, r' = (520, 0)
+    # throughout; the degree-1017 family member's numerator is not
     path = tmp_path / "big.json"
     n = 520
     save_curve(RationalBezierCurve([(float(i), 0.0) for i in range(n + 1)], [1.0] * (n + 1)), str(path))
+    assert main(["bound", str(path), "--method", "elevation", "--e", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "elevation bound: 520.000000 (e=0, p=2)"
+    save_curve(counterexample_family(1017), str(path))
     assert main(["bound", str(path), "--method", "elevation", "--e", "0"]) == 2
     assert "float range" in capsys.readouterr().err
 
@@ -182,11 +188,14 @@ def _quadratic_file(tmp_path, weights):
 
 
 @pytest.mark.parametrize("weights", [[1e-200, 1.0, 1.0], [1e-200, 1.0, 1e-200]])
-def test_maximize_out_of_range_weights_exit_2(weights, tmp_path, capsys):
-    assert main(["maximize", _quadratic_file(tmp_path, weights)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "squared weight" in captured.err
+def test_maximize_squared_weights_below_the_float_range_print_the_exact_peak(weights, tmp_path, capsys):
+    # w_0^2 underflows, but the peak r'(0) = 2 sqrt(2) / w_0 does not
+    path = _quadratic_file(tmp_path, weights)
+    assert main(["maximize", path]) == 0
+    value_text, t_text = capsys.readouterr().out.strip().split(" @ t=")
+    assert t_text == "0.000000"
+    assert float(value_text) == pytest.approx(exact_derivative_norm(load_curve(path), 0.0), rel=1e-12)
+    assert float(value_text) == pytest.approx(2.0 * np.sqrt(2.0) * 1e200, rel=1e-12)
 
 
 def test_maximize_huge_common_weight_matches_unit_weights(tmp_path, capsys):
@@ -234,6 +243,15 @@ def test_table1_no_violations_summary(tmp_path, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0 violations"
+
+
+def test_table1_single_violation_summary(tmp_path, capsys):
+    code = main([
+        "table1", "--n-min", "11", "--n-max", "11",
+        "--e", "20", "--out", str(tmp_path / "one.csv"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1 violation (n = 11)"
 
 
 def test_table1_bad_range(tmp_path, capsys):

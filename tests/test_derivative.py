@@ -1,5 +1,7 @@
 """Closed-form derivative representations against independent oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from ratbez import (
     eval_derivative_explicit_many,
     intermediate_points,
 )
+from ratbez.derivative import _binomials, _product
 
 from oracles import (
     basis_value,
+    elevation_product_coeffs,
     eval_derivative_sederberg,
     eval_weight,
     exact_intermediate_points,
@@ -80,9 +84,10 @@ def test_degree_zero_curve_rejected():
         build_derivative_form(point)
 
 
-@pytest.mark.parametrize("weights", [[1e-200, 1.0, 1.0], [1e-200, 1.0, 1e-200]])
+@pytest.mark.parametrize("weights", [[5e-324, 1.0, 1.0], [5e-324, 1.0, 5e-324]])
 def test_out_of_range_squared_weights_rejected(weights):
-    # after division by the largest weight, W_0 = w_0^2 underflows to 0
+    # weights spanning 2^1074 square past the float range even when centred:
+    # the form scales them to 2^-537 and 2^537, and 2^1074 overflows
     curve = RationalBezierCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], weights)
     with pytest.raises(ValueError, match="squared weight"):
         build_derivative_form(curve)
@@ -101,18 +106,68 @@ def _uniform_line(n):
     return RationalBezierCurve([(float(i), 0.0) for i in range(n + 1)], [1.0] * (n + 1))
 
 
-def test_forms_past_degree_514_raise_value_error():
-    # C(1030, 515) is past the float range; C(1028, 514) is not
-    assert build_derivative_form(_uniform_line(514)).degree == 1028
-    with pytest.raises(ValueError, match="float range"):
-        build_derivative_form(_uniform_line(515))
+def test_family_forms_build_through_degree_1016():
+    # binomials keep their exponents apart, so no degree overflows them: the
+    # degree-1030 line has r' = (515, 0) throughout.  The family's centred
+    # weights w_0 = 2^s, w_1 = 2^(s-1) put n w_0 w_1 past the float range
+    # from n = 1017 (s = 508).
+    assert np.allclose(build_derivative_form(_uniform_line(515)).control_points, [(515.0, 0.0)],
+                       rtol=1e-14, atol=0.0)
+    assert build_derivative_form(counterexample_family(1016)).degree == 2032
+    with pytest.raises(ValueError, match="numerator"):
+        build_derivative_form(counterexample_family(1017))
 
 
 def test_non_finite_sederberg_terms_raise_value_error():
     with pytest.raises(ValueError, match="float range"):
         sederberg_terms(_uniform_line(514))
+    # the oracle's own binomials: C(1030, 515) is past the float range
+    with pytest.raises(ValueError, match="binomial"):
+        sederberg_terms(_uniform_line(516))
     with pytest.raises(ValueError, match="float range"):
         sederberg_terms(RationalBezierCurve([(0.0,), (1.0,), (2.0,)], [1e200] * 3))
+
+
+def test_binomials_match_exact_integers_through_degree_1029():
+    # C(m, i) = f * 2^e with f in [1/2, 1], rounded as the exact integer is,
+    # through m = 1029, the last degree whose binomials all fit in a float
+    row = [1]  # Pascal's row m, grown by additions
+    for m in range(1030):
+        f, e = _binomials(m)
+        assert ((f >= 0.5) & (f <= 1.0)).all()
+        assert np.array_equal(np.ldexp(f, e), [float(c) for c in row])
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+
+
+def _exact_binomials(m):
+    """C(m, 0..m) as exact integers, each from the one before."""
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (m - i) // (i + 1))
+    return row
+
+
+def test_product_weights_match_exact_rationals():
+    # _product(ones, unit vector r) holds C(m, j) C(l, r) / C(m + l, j + r)
+    # in rows j + r, up to m + l = 2400.  Each weight takes five roundings of
+    # at most u = 2^-53 relative (three mantissas, their product, the
+    # quotient), so it errs by at most 5u / (1 - 5u) relative, and by less
+    # than 2^-1073 more where it is subnormal.
+    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+    rng = np.random.default_rng(14)
+    pairs = [(1200, 1200), (2399, 1), (1, 2399)]
+    for total in rng.integers(515, 2401, size=5):
+        m = int(rng.integers(0, total + 1))
+        pairs.append((m, int(total) - m))
+    for m, l in pairs:
+        cm, cl, cs = (_exact_binomials(k) for k in (m, l, m + l))
+        for r in {0, l, int(rng.integers(0, l + 1))}:
+            unit = np.zeros(l + 1)
+            unit[r] = 1.0
+            got = _product(np.ones((m + 1, 1)), unit)[r : r + m + 1, 0]
+            for j, value in enumerate(got):
+                exact = Fraction(cm[j] * cl[r], cs[j + r])
+                assert abs(Fraction(value) - exact) <= 5 * u / (1 - 5 * u) * exact + 2 * tiny, (m, l, r, j)
 
 
 def test_overflowing_numerator_rejected():
@@ -195,17 +250,20 @@ def test_intermediate_points_match_exact_rationals():
 
 
 def test_numerator_points_are_elevated_intermediates():
-    # the form stores n * N; dividing by n again may move a value by one ulp
-    curve = counterexample_family(5)
-    n = curve.degree
-    rows = build_derivative_form(curve).rows[:, :-1]
-    inter = intermediate_points(curve)
-    m = inter.shape[0] - 1  # degree 2n - 1
-    lam = (np.arange(1, m + 1) / (m + 1.0))[:, None]
-    expected_interior = lam * inter[:-1] + (1.0 - lam) * inter[1:]
-    assert np.array_equal(rows[0], n * inter[0])
-    assert np.array_equal(rows[-1], n * inter[-1])
-    assert np.allclose(rows[1:-1], n * expected_interior, rtol=1e-15)
+    # the numerator rows are n times the elevated exact intermediate points
+    # of the curve the form builds on: its weights divided by their maximum,
+    # and centred only where a square would fall below 2^-1020 (2^-600 is
+    # centred by 2^300, exactly)
+    points = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
+    tiny = RationalBezierCurve(points, [2.0**-600, 1.0, 1.0])
+    centred = RationalBezierCurve(points, [2.0**-300, 2.0**300, 2.0**300])
+    for curve, used in [(counterexample_family(5), counterexample_family(5)), (tiny, centred)]:
+        form = build_derivative_form(curve)
+        assert np.array_equal(form.weights, derivative_weights(used))
+        expected = curve.degree * elevation_product_coeffs(exact_intermediate_points(used), 1)
+        rows = form.rows[:, :-1]
+        assert np.array_equal(rows[[0, -1]], expected[[0, -1]])
+        assert np.allclose(rows, expected, rtol=1e-15, atol=0.0)
 
 
 def test_control_points_identity():

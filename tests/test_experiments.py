@@ -67,8 +67,11 @@ def test_run_table1_range_validation():
         run_table1(1, 5)
     with pytest.raises(ValueError):
         run_table1(5, 4)
-    with pytest.raises(ValueError):
-        run_table1(2, 515)
+    # no fixed cap on the degree: n = 515 runs, and a row past the float
+    # range, from n = 1017, fails naming its degree
+    assert run_table1(515, 515, e=0)[0].verdict == "violated"
+    with pytest.raises(RuntimeError, match="degree 1017"):
+        run_table1(1017, 1017, e=0)
 
 
 def test_csv_header_and_formatting():

@@ -16,7 +16,7 @@ from ratbez import (
 )
 from ratbez._kernels import decasteljau_grid, elevate_chain
 
-from oracles import random_curve, sederberg_terms
+from oracles import exact_derivative_norm, random_curve, sederberg_terms
 
 
 def test_constant_derivative_line():
@@ -71,11 +71,16 @@ def test_argument_errors():
 
 
 @pytest.mark.parametrize("weights", [[1e-200, 1.0, 1.0], [1e-200, 1.0, 1e-200]])
-def test_out_of_range_weights_raise_instead_of_nan(weights):
-    # even after the weights are divided by their maximum, W_0 = w_0^2 underflows
+def test_squared_weights_below_the_float_range_give_the_exact_peak(weights):
+    # w_0^2 = 1e-400 is below the float range, but the form centres the
+    # weights first; the peak is r'(0) = 2 (w_1 / w_0)(p_1 - p_0)
     curve = RationalBezierCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], weights)
-    with pytest.raises(ValueError, match="squared weight"):
-        maximize_derivative_norm(curve)
+    result = maximize_derivative_norm(curve)
+    exact = exact_derivative_norm(curve, 0.0)
+    assert exact == pytest.approx(2.0 * np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert result.argmax_t == 0.0
+    assert result.max_value == pytest.approx(exact, rel=1e-12)
+    assert result.max_value <= result.upper <= result.max_value * (1.0 + 1e-10)
 
 
 def test_huge_common_weight_matches_unit_weights():
@@ -122,13 +127,28 @@ def _peak_is_attained(curve):
 
 @pytest.mark.parametrize("n", [300, 514, "corpus"])
 def test_high_degree_peak_is_attained(n, corpus):
-    # max_value is |r'(argmax_t)|, read off the pieces' own ratio scans; at
-    # n = 300 and 514, halving without the per-piece rescale underflows the weights
+    # max_value is |r'(argmax_t)|, read off the pieces' own ratio scans; the
+    # squared weights reach down to 2^-598 at n = 300, and the form centres
+    # them at n = 514, so all are normal, and halving only averages them:
+    # no piece underflows
     if n == "corpus":
         for curve, _ in corpus:
             _peak_is_attained(curve)
     else:
         assert _peak_is_attained(counterexample_family(n)).argmax_t > 0.99
+
+
+@pytest.mark.parametrize("n", [20, 514, 600])
+def test_family_peaks_match_exact_rationals(n):
+    # n = 600 needs C(1200, 600), past the float range, and squared weights
+    # down to 2^-1198 before centring; the sound e = 1000 bound must not
+    # fall below the exact value either
+    curve = counterexample_family(n)
+    form = build_derivative_form(curve)
+    result = maximize_derivative_norm(form)
+    exact = exact_derivative_norm(curve, result.argmax_t)
+    assert result.max_value == pytest.approx(exact, rel=1e-12)
+    assert elevation_bound(form, 1000).value >= exact
 
 
 def test_zero_derivative_returns_zero():
