@@ -1,15 +1,12 @@
 """Hot numeric kernels: de Casteljau evaluation over parameter grids,
-subdivision at t = 1/2, repeated one-step degree elevation, and the
-convex-hull scan of norm over weight.
+subdivision at t = 1/2, and the convex-hull scan of norm over weight.
 
 Each kernel is one vectorized numpy body.  The kernels check nothing:
 the public functions that call them validate every argument once.
-``decasteljau_grid`` and ``elevate_chain`` coerce their arrays to float64
-first; ``split`` and ``hull_ratios`` take the callers' float arrays as
-they are.  ``elevate_chain`` works coordinate-major: each coordinate
-is one contiguous row of a buffer sized for the whole chain, updated in
-place with ``out=`` ufuncs, and it returns that buffer transposed.
-Norms are Euclidean throughout.
+``decasteljau_grid`` coerces its arrays to float64 first; ``split`` and
+``hull_ratios`` take the callers' float arrays as they are.  Degree
+elevation is no kernel: it is the Bernstein product with the constant 1,
+``derivative._product``.  Norms are Euclidean throughout.
 """
 
 from __future__ import annotations
@@ -65,36 +62,6 @@ def split(coeffs: np.ndarray):
         b = 0.5 * (b[:-1] + b[1:])
         left[r], right[m1 - 1 - r] = b[0], b[-1]
     return left, right
-
-
-def elevate_chain(coeffs: np.ndarray, steps: int) -> np.ndarray:
-    """Degree-elevate a (m+1, k) coefficient array `steps` times.
-
-    Each step is the standard convex-combination elevation
-    c'_i = lam c_{i-1} + (1 - lam) c_i with lam = i / (m+1), so the result
-    represents the same function with degree m + steps.  The chain runs in
-    place on one coordinate-major (k, m+1+steps) buffer and allocates
-    nothing per step; the result is that buffer's transpose, a new
-    (m+1+steps, k) array that never aliases `coeffs`.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    m1, k = coeffs.shape
-    size = m1 + steps
-    out = np.empty((k, size))
-    out[:, :m1] = coeffs.T
-    index = np.arange(1.0, size)
-    lam, rest, scratch = np.empty(size - 1), np.empty(size - 1), np.empty((k, size - 1))
-    for cur in range(m1, size):
-        i = cur - 1
-        lam_i, rest_i, left, right = lam[:i], rest[:i], scratch[:, :i], out[:, 1:cur]
-        np.divide(index[:i], cur, out=lam_i)
-        np.subtract(1.0, lam_i, out=rest_i)
-        out[:, cur] = out[:, i]
-        # the products of the old rows i-1 and i, then their sum in place of row i
-        np.multiply(out[:, :i], lam_i, out=left)
-        np.multiply(right, rest_i, out=right)
-        np.add(left, right, out=right)
-    return out.T
 
 
 def hull_ratios(rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ Two bounds are provided:
 * a sound supremum bound read off the explicit derivative form: after
   jointly degree-elevating its numerator points and weight coefficients
   e times, max_i |n * N_i| / W_i bounds sup |r'(t)| for every e, and the
-  bound is non-increasing as e grows.
+  bound is non-increasing as e grows.  The e-fold elevation is one
+  Bernstein product of the form's rows with the constant 1 written at
+  degree e (sum_i B_i^e = 1), computed for each e on its own.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, elevate_chain, hull_ratios
+from ._kernels import _rowwise_norm, hull_ratios
 from .curve import RationalBezierCurve
-from .derivative import DerivativeForm
+from .derivative import DerivativeForm, _product
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,18 +82,21 @@ def _step_count(steps, what: str = "step count") -> int:
 
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
     """(e, bound, first argmax row) at each step count of ascending `e_list`,
-    from one elevation chain of max(e_list) steps."""
+    each e from its own product of the rows with e + 1 ones; ValueError
+    where the bound leaves the float range."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("elevation step counts must be strictly increasing")
     out = []
-    stacked, done = form.rows, 0
     for e in steps:
-        stacked, done = elevate_chain(stacked, e - done), e
-        ratios = hull_ratios(stacked)
+        # an overflowing ratio is refused below, not reported as a warning
+        with np.errstate(over="ignore"):
+            ratios = hull_ratios(_product(form.rows, np.ones(e + 1)))
         i = int(np.argmax(ratios))
+        if not np.isfinite(ratios[i]):
+            raise ValueError(f"the elevation bound at e = {e} exceeds the float range")
         out.append((e, float(ratios[i]), i))
     return out
 
@@ -102,7 +107,8 @@ def elevation_bound(form: DerivativeForm, e: int = 0) -> BoundReport:
     The numerator points and weight coefficients of the explicit
     derivative form are elevated together, so the quotient they define
     is unchanged while the coefficient-wise ratio tightens toward
-    sup |r'(t)|.  Raises ValueError unless `e` is a nonnegative integer.
+    sup |r'(t)|.  Raises ValueError unless `e` is a nonnegative integer,
+    and where the bound leaves the float range.
     """
     [(e, value, idx)] = _elevated(form, [e])
     return BoundReport(value=value, method="elevation", elevation_steps=e, argmax_index=idx)
@@ -111,8 +117,9 @@ def elevation_bound(form: DerivativeForm, e: int = 0) -> BoundReport:
 def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """Elevation bound at each step count in ascending `e_list`.
 
-    Elevation proceeds incrementally between entries, so a long profile
-    costs one chain of max(e_list) steps.  Raises ValueError unless every
-    entry is a nonnegative integer.
+    Each entry is elevated on its own, in one Bernstein product of e + 1
+    steps, so a profile costs sum(e + 1) product steps over `e_list`.
+    Raises ValueError unless every entry is a nonnegative integer and the
+    list strictly increases, and where a bound leaves the float range.
     """
     return [(e, value) for e, value, _ in _elevated(form, e_list)]

@@ -13,7 +13,6 @@ evaluate them by de Casteljau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -69,10 +68,20 @@ def _require_positive_degree(curve: RationalBezierCurve) -> int:
 
 def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
     """C(m, i) for i = 0..m as mantissas f in [1/2, 1] and integer exponents e,
-    C(m, i) = f * 2**e, each f correctly rounded; no degree overflows."""
-    combs = list(accumulate(range(m), lambda c, i: c * (m - i) // (i + 1), initial=1))
-    exps = [c.bit_length() for c in combs]
-    return np.array([c / (1 << e) for c, e in zip(combs, exps)]), np.array(exps)
+    C(m, i) = f * 2**e, each f correctly rounded; no degree overflows.
+
+    The multiplicative recurrence runs over the first half of the row only,
+    and each exact C(m, i) is rounded as soon as it is formed and written
+    to both i and m - i, so one big integer is alive at a time.
+    """
+    f, e = np.empty(m + 1), np.empty(m + 1, dtype=np.int64)
+    c = 1
+    for i in range(m // 2 + 1):
+        k = c.bit_length()
+        f[i] = f[m - i] = c / (1 << k)
+        e[i] = e[m - i] = k
+        c = c * (m - i) // (i + 1)
+    return f, e
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ rounding.  Ties resolve to the smallest parameter.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,13 @@ class MaximizerResult:
 
 def _entry(piece: np.ndarray, a: float, width: float):
     """Heap entry (-upper, a, width, piece) for the piece over [a, a + width],
-    and |r'| at its two ends, all from one scan of its rows' norm/weight."""
+    and |r'| at its two ends, all from one scan of its rows' norm/weight;
+    ValueError where `upper` leaves the float range."""
     ratios = hull_ratios(piece)
-    return (-float(ratios.max()), a, width, piece), float(ratios[0]), float(ratios[-1])
+    upper = float(ratios.max())
+    if not math.isfinite(upper):
+        raise ValueError("a convex-hull bound on |r'| exceeds the float range")
+    return (-upper, a, width, piece), float(ratios[0]), float(ratios[-1])
 
 
 def maximize_derivative_norm(curve: RationalBezierCurve | DerivativeForm) -> MaximizerResult:
@@ -48,22 +53,25 @@ def maximize_derivative_norm(curve: RationalBezierCurve | DerivativeForm) -> Max
     Takes the curve, or its derivative form as `build_derivative_form`
     returns it (then used as is, without a second build).  Stops once
     upper - max_value <= 1e-10 * max_value (at once where r' is zero), or
-    when the piece with the largest bound is 2^-40 wide.
+    when the piece with the largest bound is 2^-40 wide.  Raises
+    ValueError where a piece's convex-hull bound leaves the float range.
     """
     # build_derivative_form refuses degree 0
     form = curve if isinstance(curve, DerivativeForm) else build_derivative_form(curve)
-    root, start, end = _entry(form.rows, 0.0, 1.0)
-    best, argmax_t = (end, 1.0) if end > start else (start, 0.0)
-    heap = [root]
-    pieces = 1
-    while -heap[0][0] - best > _REL_GAP * best and heap[0][2] > _MIN_WIDTH:
-        _, a, width, piece = heapq.heappop(heap)
-        left, right = split(piece)
-        half = 0.5 * width
-        entry, _, mid = _entry(left, a, half)
-        if mid > best:
-            best, argmax_t = mid, a + half
-        heapq.heappush(heap, entry)
-        heapq.heappush(heap, _entry(right, a + half, half)[0])
-        pieces += 1
+    # an overflowing hull bound is refused in _entry, not reported as a warning
+    with np.errstate(over="ignore"):
+        root, start, end = _entry(form.rows, 0.0, 1.0)
+        best, argmax_t = (end, 1.0) if end > start else (start, 0.0)
+        heap = [root]
+        pieces = 1
+        while -heap[0][0] - best > _REL_GAP * best and heap[0][2] > _MIN_WIDTH:
+            _, a, width, piece = heapq.heappop(heap)
+            left, right = split(piece)
+            half = 0.5 * width
+            entry, _, mid = _entry(left, a, half)
+            if mid > best:
+                best, argmax_t = mid, a + half
+            heapq.heappush(heap, entry)
+            heapq.heappush(heap, _entry(right, a + half, half)[0])
+            pieces += 1
     return MaximizerResult(max_value=best, argmax_t=argmax_t, upper=-heap[0][0], pieces=pieces)

@@ -76,17 +76,6 @@ def elevation_product_coeffs(values, e: int) -> np.ndarray:
     return out
 
 
-def elevate_chain_reference(values, steps: int) -> np.ndarray:
-    """`steps` textbook row-major elevation steps: each builds a new array
-    c[0], lam c[:-1] + (1 - lam) c[1:], c[-1] with lam = arange(1, cur)/cur."""
-    c = np.array(values, dtype=np.float64)
-    for _ in range(steps):
-        cur = c.shape[0]
-        lam = (np.arange(1, cur) / cur)[:, None]
-        c = np.vstack([c[:1], lam * c[:-1] + (1.0 - lam) * c[1:], c[-1:]])
-    return c
-
-
 def _common_integers(values):
     """Floats as integers over one common power-of-two denominator."""
     ratios = [float(v).as_integer_ratio() for v in values]

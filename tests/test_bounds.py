@@ -18,7 +18,7 @@ from ratbez import (
     weight_ratio,
 )
 
-from ratbez._kernels import elevate_chain
+from ratbez.derivative import _product
 
 from oracles import elevation_product_coeffs, random_curve
 
@@ -166,7 +166,7 @@ def test_elevation_bound_ties_take_first_index():
 def test_elevation_bound_reports_the_first_largest_row(n, d, e, seed):
     # the bound and its index against plain numpy norms of the elevated rows
     form = build_derivative_form(random_curve(np.random.default_rng(seed), n, d))
-    rows = elevate_chain(form.rows, e)
+    rows = _product(form.rows, np.ones(e + 1))
     points = rows[:, :-1]
     ratios = np.sqrt((points * points).sum(axis=1)) / rows[:, -1]
     report = elevation_bound(form, e)
@@ -219,15 +219,26 @@ def test_conjecture_bound_equal_weights_unit_spacing():
 
 
 def test_elevation_bound_matches_product_formula():
-    # iterated one-step elevation == closed-form product coefficients
+    # elevation through _product == closed-form product coefficients
     curve = counterexample_family(2)
     form = build_derivative_form(curve)
     stacked = form.rows
     for e in range(9):
-        got = elevate_chain(stacked, e)
+        got = _product(stacked, np.ones(e + 1))
         ref = elevation_product_coeffs(stacked, e)
         scale = 1.0 + np.abs(ref).max()
         assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def test_elevation_bound_past_the_float_range_raises():
+    # the form's rows are finite, but the end row's ratio (w_0 / w_1) 1e300
+    # is 1e310: an error, not inf and a RuntimeWarning
+    form = build_derivative_form(RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10]))
+    assert np.isfinite(form.rows).all()
+    with pytest.raises(ValueError, match="float range"):
+        elevation_bound(form, 0)
+    with pytest.raises(ValueError, match="float range"):
+        bound_profile(form, [0, 10])
 
 
 def test_elevation_bound_rejects_negative_steps():

@@ -162,6 +162,17 @@ def test_bound_past_the_float_range_exits_2(tmp_path, capsys):
     assert "float range" in capsys.readouterr().err
 
 
+def test_peak_past_the_float_range_exits_2(tmp_path, capsys):
+    # finite control data whose derivative peaks at 1e310
+    path = tmp_path / "steep.json"
+    save_curve(RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10]), str(path))
+    for argv in (["maximize", str(path)], ["bound", str(path), "--method", "elevation", "--e", "10"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float range" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # maximize
 

@@ -1,5 +1,6 @@
 """Closed-form derivative representations against independent oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,19 @@ def test_binomials_match_exact_integers_through_degree_1029():
         assert ((f >= 0.5) & (f <= 1.0)).all()
         assert np.array_equal(np.ldexp(f, e), [float(c) for c in row])
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+
+
+def test_binomials_stay_small_at_degree_8060():
+    # the row an e = 8000 elevation of a degree-60 form needs: one exact
+    # integer alive at a time, not the row of them (7.1 MB)
+    tracemalloc.start()
+    try:
+        f, e = _binomials(8060)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(f, f[::-1]) and np.array_equal(e, e[::-1])
 
 
 def _exact_binomials(m):

@@ -1,13 +1,17 @@
-"""Kernels against independent oracles: basis sums, product formulas, the
-textbook elevation step and numpy norms."""
+"""Kernels against independent oracles: basis sums, exact rationals and
+numpy norms; degree elevation through the Bernstein product."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ratbez import build_derivative_form, counterexample_family
-from ratbez._kernels import decasteljau_grid, elevate_chain, hull_ratios, split
+from ratbez._kernels import decasteljau_grid, hull_ratios, split
+from ratbez.derivative import _product
 
-from oracles import basis_value, elevate_chain_reference
+from oracles import basis_value
 
 
 def _random_coeffs(rng, rows, cols):
@@ -43,9 +47,14 @@ def test_grid_crosses_chunk_boundary():
     assert got.shape == (8292, 2)
 
 
+def _elevate(coeffs, steps):
+    """`steps` degree elevations: the Bernstein product with steps + 1 ones."""
+    return _product(coeffs, np.ones(steps + 1))
+
+
 def test_elevate_zero_steps_copies():
     coeffs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = elevate_chain(coeffs, 0)
+    out = _elevate(coeffs, 0)
     assert np.array_equal(out, coeffs)
     out[0, 0] = -1.0
     assert coeffs[0, 0] == 1.0
@@ -53,11 +62,11 @@ def test_elevate_zero_steps_copies():
 
 def test_elevate_preserves_values():
     # one step from degree 1: c' = (c0, (c0 + c1)/2, c1), per column
-    assert np.array_equal(elevate_chain([[2.0], [6.0]], 1), [[2.0], [4.0], [6.0]])
-    assert np.array_equal(elevate_chain([[0.0, 0.0], [1.0, 2.0]], 1), [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
+    assert np.array_equal(_elevate(np.array([[2.0], [6.0]]), 1), [[2.0], [4.0], [6.0]])
+    assert np.array_equal(_elevate(np.array([[0.0, 0.0], [1.0, 2.0]]), 1), [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
     rng = np.random.default_rng(12)
     coeffs = _random_coeffs(rng, 6, 2)
-    elevated = elevate_chain(coeffs, 40)
+    elevated = _elevate(coeffs, 40)
     ts = rng.uniform(0.0, 1.0, size=7)
     before = decasteljau_grid(coeffs, ts)
     after = decasteljau_grid(elevated, ts)
@@ -69,36 +78,46 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_elevate_matches_textbook_step_bitwise():
-    rng = np.random.default_rng(16)
-    cases = [(1, 1, 0), (1, 3, 300), (2, 2, 1), (25, 4, 0)]
-    for k in (1, 2, 3, 4):
-        cases += [(int(rng.integers(1, 26)), k, int(rng.integers(0, 301))) for _ in range(6)]
-    for rows, k, steps in cases:
-        coeffs = _random_coeffs(rng, rows, k) * np.exp(rng.uniform(-5.0, 5.0, size=(rows, 1)))
-        got = elevate_chain(coeffs, steps)
-        assert _same_bits(got, elevate_chain_reference(coeffs, steps)), (rows, k, steps)
-
-
-def test_elevate_family_form_to_8000_bitwise():
-    stacked = build_derivative_form(counterexample_family(30)).rows
-    got = elevate_chain(stacked, 8000)
-    assert got.shape == (61 + 8000, 3)
-    assert _same_bits(got, elevate_chain_reference(stacked, 8000))
+def test_elevate_family_form_to_8000_matches_exact_rationals():
+    # Row i of the e-fold elevation of rows a_0..a_m is sum_j h_ij a_j, with
+    # h_ij = C(m, j) C(e, i - j) / C(m + e, i) over the k indices j in range.
+    # Each term takes six roundings of at most u = 2^-53 relative (the three
+    # binomial mantissas, fa_j a_j, its product with fb, the final division)
+    # and the running sum k - 1 more, so every coordinate errs by at most
+    # gamma_(k+5) sum_j h_ij |a_j|, gamma_q = q u / (1 - q u).  No term of
+    # this form is subnormal, so the power-of-two scalings are exact.
+    rows = build_derivative_form(counterexample_family(30)).rows
+    m, e = len(rows) - 1, 8000
+    got = _elevate(rows, e)
+    assert got.shape == (m + e + 1, 3)
+    u = Fraction(1, 2**53)
+    exact_rows = [[Fraction(float(x)) for x in row] for row in rows]
+    rng = np.random.default_rng(18)
+    sample = {0, 1, m, m + 1, (m + e) // 2, e, m + e - 1, m + e}
+    sample |= {int(i) for i in rng.integers(0, m + e + 1, size=12)}
+    for i in sorted(sample):
+        js = range(max(0, i - e), min(m, i) + 1)
+        h = {j: Fraction(math.comb(m, j) * math.comb(e, i - j), math.comb(m + e, i)) for j in js}
+        q = len(js) + 5
+        gamma = q * u / (1 - q * u)
+        for c in range(3):
+            exact = sum(h[j] * exact_rows[j][c] for j in js)
+            scale = sum(h[j] * abs(exact_rows[j][c]) for j in js)
+            assert abs(Fraction(float(got[i, c])) - exact) <= gamma * scale, (i, c)
 
 
 def test_elevate_layouts_and_dtypes():
     rng = np.random.default_rng(17)
     wide = _random_coeffs(rng, 3, 9)
-    ref = elevate_chain_reference(wide.T, 40)
+    ref = _elevate(np.ascontiguousarray(wide.T), 40)
     # a transposed (F-ordered) input and a strided column slice
-    assert _same_bits(elevate_chain(wide.T, 40), ref)
-    assert _same_bits(elevate_chain(wide.T[:, 1:3], 40), ref[:, 1:3])
+    assert _same_bits(_elevate(wide.T, 40), ref)
+    assert _same_bits(_elevate(wide.T[:, 1:3], 40), ref[:, 1:3])
     ints = np.array([[1, -2], [3, 4], [0, 7]])
-    assert _same_bits(elevate_chain(ints, 12), elevate_chain_reference(ints, 12))
+    assert _same_bits(_elevate(ints, 12), _elevate(ints.astype(np.float64), 12))
     for coeffs in (wide.T, np.ascontiguousarray(wide.T)):
         before = coeffs.copy()
-        out = elevate_chain(coeffs, 5)
+        out = _elevate(coeffs, 5)
         assert not np.shares_memory(out, coeffs)
         out[:] = 0.0
         assert np.array_equal(coeffs, before)

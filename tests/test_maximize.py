@@ -14,7 +14,8 @@ from ratbez import (
     eval_derivative_explicit,
     maximize_derivative_norm,
 )
-from ratbez._kernels import decasteljau_grid, elevate_chain
+from ratbez._kernels import decasteljau_grid
+from ratbez.derivative import _product
 
 from oracles import exact_derivative_norm, random_curve, sederberg_terms
 
@@ -81,6 +82,14 @@ def test_squared_weights_below_the_float_range_give_the_exact_peak(weights):
     assert result.argmax_t == 0.0
     assert result.max_value == pytest.approx(exact, rel=1e-12)
     assert result.max_value <= result.upper <= result.max_value * (1.0 + 1e-10)
+
+
+def test_hull_bound_past_the_float_range_raises():
+    # the form's rows are finite, but the peak n (w_0 / w_1) |p_1 - p_0| = 1e310
+    # is not: an error, not inf and a RuntimeWarning
+    curve = RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10])
+    with pytest.raises(ValueError, match="float range"):
+        maximize_derivative_norm(curve)
 
 
 def test_huge_common_weight_matches_unit_weights():
@@ -183,7 +192,7 @@ def test_degree_elevation_keeps_the_supremum(n, d, seed):
     # one elevation step of the homogeneous rows (w p | w) gives the same
     # curve at degree n + 1, so both enclosures hold the same supremum
     curve = random_curve(np.random.default_rng(seed), n, d)
-    rows = elevate_chain(np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]]), 1)
+    rows = _product(np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]]), np.ones(2))
     elevated = RationalBezierCurve(rows[:, :-1] / rows[:, -1:], rows[:, -1])
     tol = 1e-10  # the maximizer's fixed relative stopping gap
     a = maximize_derivative_norm(curve)
