@@ -2,7 +2,6 @@
 derivative-magnitude bounds, and bound-violation experiments."""
 
 from .bounds import (
-    BoundReport,
     bound_profile,
     conjecture_bound,
     elevation_bound,
@@ -38,7 +37,6 @@ from .svgplot import render_plot, write_plot
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "DerivativeForm",
     "MaximizerResult",
     "RationalBezierCurve",

@@ -59,7 +59,9 @@ def split(coeffs: np.ndarray):
     b = coeffs
     left[0], right[-1] = b[0], b[-1]
     for r in range(1, m1):
-        b = 0.5 * (b[:-1] + b[1:])
+        # halve before adding: two rows near the float maximum sum past it
+        h = 0.5 * b
+        b = h[:-1] + h[1:]
         left[r], right[m1 - 1 - r] = b[0], b[-1]
     return left, right
 

@@ -16,29 +16,11 @@ Two bounds are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import _rowwise_norm, hull_ratios
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm, _product
-
-
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    """A computed derivative bound and how it was obtained.
-
-    `method` is "conjecture" or "elevation"; `elevation_steps` and
-    `argmax_index` are filled for the elevation bound, `weight_ratio`
-    for the conjectured one.
-    """
-
-    value: float
-    method: str
-    elevation_steps: int | None = None
-    argmax_index: int | None = None
-    weight_ratio: float | None = None
 
 
 def weight_ratio(curve: RationalBezierCurve) -> float:
@@ -57,7 +39,7 @@ def weight_ratio(curve: RationalBezierCurve) -> float:
     return ratio
 
 
-def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
+def conjecture_bound(curve: RationalBezierCurve) -> float:
     """Conjectured bound n * W * max_i |p_{i+1} - p_i| on sup |r'(t)|.
 
     Raises ValueError when the weight ratio or the bound leaves the float
@@ -69,7 +51,7 @@ def conjecture_bound(curve: RationalBezierCurve) -> BoundReport:
     value = curve.degree * ratio * longest
     if not np.isfinite(value):
         raise ValueError("the conjectured bound exceeds the float range")
-    return BoundReport(value=value, method="conjecture", weight_ratio=ratio)
+    return value
 
 
 def _step_count(steps, what: str = "step count") -> int:
@@ -80,28 +62,25 @@ def _step_count(steps, what: str = "step count") -> int:
     return int(steps)
 
 
-def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float, int]]:
-    """(e, bound, first argmax row) at each step count of ascending `e_list`,
-    each e from its own product of the rows with e + 1 ones; ValueError
-    where the bound leaves the float range."""
+def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
+    """(e, bound) at each step count of `e_list`, in its order, each e from
+    its own product of the rows with e + 1 ones; ValueError where the bound
+    leaves the float range."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("elevation step counts must be strictly increasing")
     out = []
     for e in steps:
         # an overflowing ratio is refused below, not reported as a warning
         with np.errstate(over="ignore"):
-            ratios = hull_ratios(_product(form.rows, np.ones(e + 1)))
-        i = int(np.argmax(ratios))
-        if not np.isfinite(ratios[i]):
+            value = float(hull_ratios(_product(form.rows, np.ones(e + 1))).max())
+        if not np.isfinite(value):
             raise ValueError(f"the elevation bound at e = {e} exceeds the float range")
-        out.append((e, float(ratios[i]), i))
+        out.append((e, value))
     return out
 
 
-def elevation_bound(form: DerivativeForm, e: int = 0) -> BoundReport:
+def elevation_bound(form: DerivativeForm, e: int = 0) -> float:
     """Sound bound max_i |n * N_i| / W_i after e joint elevation steps.
 
     The numerator points and weight coefficients of the explicit
@@ -110,16 +89,16 @@ def elevation_bound(form: DerivativeForm, e: int = 0) -> BoundReport:
     sup |r'(t)|.  Raises ValueError unless `e` is a nonnegative integer,
     and where the bound leaves the float range.
     """
-    [(e, value, idx)] = _elevated(form, [e])
-    return BoundReport(value=value, method="elevation", elevation_steps=e, argmax_index=idx)
+    [(_, value)] = _elevated(form, [e])
+    return value
 
 
 def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
-    """Elevation bound at each step count in ascending `e_list`.
+    """Elevation bound at each step count of `e_list`, in its order.
 
     Each entry is elevated on its own, in one Bernstein product of e + 1
     steps, so a profile costs sum(e + 1) product steps over `e_list`.
-    Raises ValueError unless every entry is a nonnegative integer and the
-    list strictly increases, and where a bound leaves the float range.
+    Raises ValueError unless every entry is a nonnegative integer, and
+    where a bound leaves the float range.
     """
-    return [(e, value) for e, value, _ in _elevated(form, e_list)]
+    return _elevated(form, e_list)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import conjecture_bound, elevation_bound
+from .bounds import conjecture_bound, elevation_bound, weight_ratio
 from .curve import eval_point, load_curve
 from .derivative import build_derivative_form
 from .experiments import read_table1_csv, run_table1, write_table1_csv
@@ -70,11 +70,11 @@ def cmd_bound(args) -> int:
     curve = load_curve(args.curve)
     # both bounds are Euclidean; the printed "p=2" keeps the line's format
     if args.method == "conjecture":
-        report = conjecture_bound(curve)
-        print(f"conjecture bound: {report.value:.6f} (weight ratio {report.weight_ratio:.6g}, p=2)")
+        bound = conjecture_bound(curve)
+        print(f"conjecture bound: {bound:.6f} (weight ratio {weight_ratio(curve):.6g}, p=2)")
     else:
-        report = elevation_bound(build_derivative_form(curve), args.e)
-        print(f"elevation bound: {report.value:.6f} (e={args.e}, p=2)")
+        bound = elevation_bound(build_derivative_form(curve), args.e)
+        print(f"elevation bound: {bound:.6f} (e={args.e}, p=2)")
     return 0
 
 
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -24,17 +24,16 @@ class DerivativeForm:
     """Explicit degree-2n rational representation of r'(t).
 
     `rows` holds the 2n + 1 homogeneous rows (n * N_i | W_i), read-only,
-    with r'(t) = sum n N_i B_i / sum W_i B_i.  The properties below are
-    read off it:
+    with r'(t) = sum n N_i B_i / sum W_i B_i, N_i the product-rule
+    numerator points.  The properties below are read off it:
 
+    degree             len(rows) - 1
     weights            W_i, Bernstein coefficients of w(t)^2, up to
                        the constant factor the weights were scaled by
-    numerator_points   N_i, the product-rule numerator points
     control_points     Q_i = n * N_i / W_i, the derivative's own
                        rational control points
     """
 
-    source_degree: int
     rows: np.ndarray
 
     def __post_init__(self):
@@ -44,15 +43,11 @@ class DerivativeForm:
 
     @property
     def degree(self) -> int:
-        return 2 * self.source_degree
+        return len(self.rows) - 1
 
     @property
     def weights(self) -> np.ndarray:
         return self.rows[:, -1]
-
-    @property
-    def numerator_points(self) -> np.ndarray:
-        return self.rows[:, :-1] / self.source_degree
 
     @property
     def control_points(self) -> np.ndarray:
@@ -167,7 +162,7 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
         raise ValueError("squared weight coefficients leave the float range; the weight range is too wide")
     if not np.isfinite(numerator).all():
         raise ValueError("derivative numerator points overflow the float range")
-    return DerivativeForm(n, np.hstack([numerator, wts[:, None]]))
+    return DerivativeForm(np.hstack([numerator, wts[:, None]]))
 
 
 def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:

@@ -91,13 +91,13 @@ def table1_row(n: int, e: int = 1000) -> Table1Row:
     start = time.perf_counter()
     elev = elevation_bound(form, e)
     runtime = time.perf_counter() - start
-    verdict = "violated" if conj.value - peak.max_value < 0.0 else "holds"
+    verdict = "violated" if conj - peak.max_value < 0.0 else "holds"
     return Table1Row(
         degree=n,
         max_first_derivative=peak.max_value,
         argmax_t=peak.argmax_t,
-        conjectured_bound=conj.value,
-        elevation_bound=elev.value,
+        conjectured_bound=conj,
+        elevation_bound=elev,
         elevation_steps=e,
         runtime_seconds=runtime,
         verdict=verdict,
@@ -107,7 +107,8 @@ def table1_row(n: int, e: int = 1000) -> Table1Row:
 def run_table1(n_min: int = 2, n_max: int = 20, e: int = 1000) -> list[Table1Row]:
     """Comparison rows for every degree in [n_min, n_max].
 
-    Forms build through n = 1016; past it a row fails with RuntimeError.
+    Forms build through n = 1016; past it a row fails with ValueError,
+    which names the degree.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError(f"degree range must satisfy 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -115,8 +116,8 @@ def run_table1(n_min: int = 2, n_max: int = 20, e: int = 1000) -> list[Table1Row
     for n in range(n_min, n_max + 1):
         try:
             rows.append(table1_row(n, e=e))
-        except Exception as exc:
-            raise RuntimeError(f"table row for degree {n} failed: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"table row for degree {n} failed: {exc}") from exc
     return rows
 
 

@@ -47,7 +47,8 @@ def test_eval_prints_twelve_significant_digits(fam2_file, capsys):
 
 
 def test_eval_from_stdin(fam11_file, capsys, monkeypatch):
-    text = open(fam11_file).read()
+    with open(fam11_file) as fh:
+        text = fh.read()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(["eval", "-", "0.0"]) == 0
     assert capsys.readouterr().out.strip() == "0 0"

@@ -70,8 +70,24 @@ def test_run_table1_range_validation():
     # no fixed cap on the degree: n = 515 runs, and a row past the float
     # range, from n = 1017, fails naming its degree
     assert run_table1(515, 515, e=0)[0].verdict == "violated"
-    with pytest.raises(RuntimeError, match="degree 1017"):
+    with pytest.raises(ValueError, match="degree 1017"):
         run_table1(1017, 1017, e=0)
+
+
+def test_run_table1_lets_programming_errors_through(monkeypatch):
+    # only bad input (ValueError) is reworded; any other error is a fault
+    # in the program and reaches the caller as it was raised
+    import ratbez.experiments
+
+    fault = TypeError("unsupported operand")
+
+    def failing(n, e=1000):
+        raise fault
+
+    monkeypatch.setattr(ratbez.experiments, "table1_row", failing)
+    with pytest.raises(TypeError) as exc:
+        run_table1(2, 3)
+    assert exc.value is fault
 
 
 def test_csv_header_and_formatting():
