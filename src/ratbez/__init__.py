@@ -18,10 +18,8 @@ from .curve import (
 from .derivative import (
     DerivativeForm,
     build_derivative_form,
-    derivative_weights,
     eval_derivative_explicit,
     eval_derivative_explicit_many,
-    intermediate_points,
 )
 from .experiments import (
     Table1Row,
@@ -47,12 +45,10 @@ __all__ = [
     "counterexample_family",
     "curve_from_json_obj",
     "curve_to_json_obj",
-    "derivative_weights",
     "elevation_bound",
     "eval_derivative_explicit",
     "eval_derivative_explicit_many",
     "eval_point",
-    "intermediate_points",
     "load_curve",
     "maximize_derivative_norm",
     "read_table1_csv",

@@ -22,11 +22,16 @@ import numpy as np
 from ._kernels import decasteljau_grid
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"parameter t={t} outside [0, 1]")
-    return t
+def _check_ts(ts) -> np.ndarray:
+    """`ts` as a float array; ValueError unless it is 1-d and every t is in
+    [0, 1]."""
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError(f"parameters must form a 1-d array, got shape {ts.shape}")
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ValueError(f"parameter t={ts[outside][0]} outside [0, 1]")
+    return ts
 
 
 def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -71,7 +76,7 @@ class RationalBezierCurve:
     def __post_init__(self):
         try:
             pts = np.array(self.points, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"points must form a rectangular numeric array: {exc}") from None
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -79,7 +84,7 @@ class RationalBezierCurve:
             raise ValueError(f"points must be 2-d, got shape {pts.shape}")
         try:
             wts = np.array(self.weights, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"weights must be numeric: {exc}") from None
         if wts.ndim != 1:
             raise ValueError(f"weights must be 1-d, got shape {wts.shape}")
@@ -115,12 +120,12 @@ class RationalBezierCurve:
 
 def eval_point(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate the curve point r(t) via homogeneous de Casteljau."""
-    t = _check_t(t)
-    if t == 0.0:
+    ts = _check_ts([float(t)])
+    if ts[0] == 0.0:
         return curve.points[0].copy()
-    if t == 1.0:
+    if ts[0] == 1.0:
         return curve.points[-1].copy()
-    return _rational(curve.homogeneous(), np.array([t]))[0]
+    return _rational(curve.homogeneous(), ts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,17 @@ def curve_to_json_obj(curve: RationalBezierCurve) -> dict:
     }
 
 
+def _numbers_only(value) -> bool:
+    """Whether every leaf of the nested lists `value` is a JSON number: an
+    int or a float, never a bool."""
+    if isinstance(value, list):
+        return all(_numbers_only(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def curve_from_json_obj(obj) -> RationalBezierCurve:
-    """Build a curve from a parsed JSON object, checking the layout."""
+    """Build a curve from a parsed JSON object, checking the layout; every
+    coordinate and weight must be a JSON number."""
     if not isinstance(obj, dict):
         raise ValueError("curve JSON must be an object")
     missing = [key for key in ("degree", "points", "weights") if key not in obj]
@@ -148,6 +162,8 @@ def curve_from_json_obj(obj) -> RationalBezierCurve:
     weights = obj["weights"]
     if not isinstance(points, list) or not isinstance(weights, list):
         raise ValueError("points and weights must be arrays")
+    if not (_numbers_only(points) and _numbers_only(weights)):
+        raise ValueError("points and weights must hold JSON numbers only")
     curve = RationalBezierCurve(points, weights)
     if curve.degree != degree:
         raise ValueError(

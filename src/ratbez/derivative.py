@@ -2,12 +2,14 @@
 
 `build_derivative_form` writes r'(t) as an explicit rational Bezier
 curve of degree 2n, built from the control data alone.  Its numerator
-is the product-rule numerator p'(t) w(t) - p(t) w'(t), elevated once to
-degree 2n; its denominator is the squared weight function.  Dividing
-the numerator points by the degree-2n weight coefficients gives genuine
-rational control points for the derivative.  The maximizer and the
-bounds read the form's homogeneous rows; the explicit evaluators
-evaluate them by de Casteljau.
+is the product-rule numerator p'(t) w(t) - p(t) w'(t): a sum over pairs
+of weighted control-point differences at degree 2n - 1, elevated once to
+degree 2n.  Its denominator is the squared weight function, the
+Bernstein product of the weights with themselves.  Both are computed on
+the curve's checked arrays.  `DerivativeForm` checks its rows when it is
+built, by the build or by hand, so the maximizer, the bounds and the
+explicit evaluators only see forms with finite numerators and weights in
+(0, inf), on which the convex-hull bound holds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import RationalBezierCurve, _check_t, _rational
+from .curve import RationalBezierCurve, _check_ts, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,12 +34,22 @@ class DerivativeForm:
                        the constant factor the weights were scaled by
     control_points     Q_i = n * N_i / W_i, the derivative's own
                        rational control points
+
+    Construction raises ValueError unless the rows form a 2-d array of at
+    least one row and two columns, every weight lies in (0, inf) and
+    every numerator entry is finite.
     """
 
     rows: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.rows, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
+            raise ValueError(f"form rows must be 2-d with at least 1 row and 2 columns, got shape {arr.shape}")
+        if not ((arr[:, -1] > 0.0) & (arr[:, -1] < np.inf)).all():
+            raise ValueError("squared weight coefficients must lie in (0, inf), inside the float range")
+        if not np.isfinite(arr[:, :-1]).all():
+            raise ValueError("derivative numerator points must be finite, inside the float range")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -52,13 +64,6 @@ class DerivativeForm:
     @property
     def control_points(self) -> np.ndarray:
         return self.rows[:, :-1] / self.rows[:, -1:]
-
-
-def _require_positive_degree(curve: RationalBezierCurve) -> int:
-    n = curve.degree
-    if n < 1:
-        raise ValueError("derivative of a degree-0 curve (a point) is undefined")
-    return n
 
 
 def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,19 +100,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out / fs[:, None]
 
 
-def derivative_weights(curve: RationalBezierCurve) -> np.ndarray:
-    """Degree-2n Bernstein coefficients of the squared weight function.
-
-    w(t)^2 = sum_i W_i B_i^{2n}(t) with
-    W_i = sum_j [C(n, j) C(n, i-j) / C(2n, i)] w_j w_{i-j}.
-    """
-    _require_positive_degree(curve)
-    w = curve.weights
-    return _product(w[:, None], w)[:, 0]
-
-
-def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
-    """Degree-(2n-1) numerator points P_j of p'(t) w(t) - p(t) w'(t).
+def _intermediate_points(points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Degree-(2n-1) numerator points P_j of p'(t) w(t) - p(t) w'(t), for
+    the n + 1 control `points` and weights `w` of a curve of degree n >= 1.
 
     With A(t) the weighted-point numerator of the curve, the product-rule
     numerator A'(t) w(t) - A(t) w'(t) equals n * sum_j P_j B_j^{2n-1}(t) with
@@ -121,13 +116,12 @@ def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
     binomial leaves the float range, and a term underflows only where its
     value does.
     """
-    n = _require_positive_degree(curve)
+    n = len(w) - 1
     a, b = np.triu_indices(n + 1, 1)
     (f, e), (fw, ew) = _binomials(n), _binomials(2 * n - 1)
     pair, shift = f[a] * f[b], e[a] + e[b]
-    w = curve.weights
-    diff = (w[a] * w[b])[:, None] * (curve.points[b] - curve.points[a])
-    out = np.zeros((2 * n, curve.dimension))
+    diff = (w[a] * w[b])[:, None] * (points[b] - points[a])
+    out = np.zeros((2 * n, points.shape[1]))
     for j in (a + b - 1, a + b):
         np.add.at(out, j, np.ldexp((pair / fw[j] * (b - a))[:, None] * diff, (shift - ew[j])[:, None]))
     return out / n
@@ -136,6 +130,8 @@ def intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
 def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     """Assemble the explicit degree-2n rational form of r'(t).
 
+    The squared weights are the Bernstein product of the weights with
+    themselves, W_i = sum_j [C(n, j) C(n, i-j) / C(2n, i)] w_j w_{i-j}.
     The degree-(2n-1) numerator points are elevated once, as a Bernstein
     product with the constant 1, so numerator and squared-weight
     denominator share degree 2n, and the form stores them beside the
@@ -144,30 +140,28 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     2^-1020, they are also centred: multiplied by 2^-(e // 2), e the binary
     exponent of the smallest, so the squared weights straddle 1.  Neither
     step changes r', and weights whose squares are normal keep the largest
-    at 1, leaving the most room for large points.  Raises ValueError when
-    a squared-weight coefficient leaves the float range, which needs
-    weights spanning about 2^1020, or a numerator row overflows; the
-    family `counterexample_family(n)` builds through n = 1016.
+    at 1, leaving the most room for large points.  Raises ValueError for
+    a degree-0 curve, and, from the form's own check, when a squared-weight
+    coefficient leaves the float range, which needs weights spanning about
+    2^1020, or a numerator row overflows; the family
+    `counterexample_family(n)` builds through n = 1016.
     """
-    n = _require_positive_degree(curve)
+    n = curve.degree
+    if n < 1:
+        raise ValueError("derivative of a degree-0 curve (a point) is undefined")
     w = curve.weights / curve.weights.max()
     if w.min() < 2.0 ** -510:
         w = np.ldexp(w, -(np.frexp(w.min())[1] // 2))
-    curve = RationalBezierCurve(curve.points, w)
-    # out-of-range values are caught below, not reported as warnings
+    # out-of-range values are refused by DerivativeForm, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        wts = derivative_weights(curve)
-        numerator = n * _product(intermediate_points(curve), np.ones(2))
-    if not ((wts > 0.0) & (wts < np.inf)).all():
-        raise ValueError("squared weight coefficients leave the float range; the weight range is too wide")
-    if not np.isfinite(numerator).all():
-        raise ValueError("derivative numerator points overflow the float range")
+        wts = _product(w[:, None], w)[:, 0]
+        numerator = n * _product(_intermediate_points(curve.points, w), np.ones(2))
     return DerivativeForm(np.hstack([numerator, wts[:, None]]))
 
 
 def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
     """Evaluate r'(t) from the explicit form by homogeneous de Casteljau."""
-    return _rational(form.rows, np.array([_check_t(t)]))[0]
+    return _rational(form.rows, _check_ts([float(t)]))[0]
 
 
 def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.ndarray:
@@ -176,10 +170,4 @@ def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.nd
     Raises ValueError unless `ts` is 1-d and every t is finite and in
     [0, 1].
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1:
-        raise ValueError(f"parameters must form a 1-d array, got shape {ts.shape}")
-    outside = ~((ts >= 0.0) & (ts <= 1.0))
-    if outside.any():
-        raise ValueError(f"parameter t={ts[outside][0]} outside [0, 1]")
-    return _rational(form.rows, ts)
+    return _rational(form.rows, _check_ts(ts))

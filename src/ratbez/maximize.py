@@ -50,8 +50,8 @@ def _entry(piece: np.ndarray, a: float, width: float):
 def maximize_derivative_norm(curve: RationalBezierCurve | DerivativeForm) -> MaximizerResult:
     """Enclose sup over [0, 1] of the Euclidean norm |r'(t)|.
 
-    Takes the curve, or its derivative form as `build_derivative_form`
-    returns it (then used as is, without a second build).  Stops once
+    Takes the curve, or a derivative form (then used as is, without a
+    second build; every form has passed its own check).  Stops once
     upper - max_value <= 1e-10 * max_value (at once where r' is zero), or
     when the piece with the largest bound is 2^-40 wide.  Raises
     ValueError where a piece's convex-hull bound leaves the float range.

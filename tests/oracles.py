@@ -30,8 +30,7 @@ import numpy as np
 
 from ratbez import RationalBezierCurve, eval_point
 from ratbez._kernels import decasteljau_grid
-from ratbez.curve import _check_t
-from ratbez.derivative import _require_positive_degree
+from ratbez.curve import _check_ts
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -161,7 +160,7 @@ def bernstein(n: int, i: int, t: float) -> float:
     """
     if not 0 <= i <= n:
         raise ValueError(f"basis index out of range: i={i}, n={n}")
-    _check_t(t)
+    _check_ts([t])
     try:
         coef = float(binomial(n, i))
     except OverflowError:
@@ -176,7 +175,7 @@ def decasteljau(values, t: float):
     scalar = arr.ndim == 1
     if scalar:
         arr = arr[:, None]
-    res = decasteljau_grid(arr, np.array([_check_t(t)]))[0]
+    res = decasteljau_grid(arr, _check_ts([t]))[0]
     return float(res[0]) if scalar else res
 
 
@@ -206,7 +205,9 @@ def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
     numerator of r'(t) = sum D_i B_i^{2n-2}(t) / w(t)^2.  Raises
     ValueError when a term leaves the float range.
     """
-    n = _require_positive_degree(curve)
+    n = curve.degree
+    if n < 1:
+        raise ValueError("derivative of a degree-0 curve (a point) is undefined")
     p = curve.points
     cw = _float_binomials(n) * curve.weights
     terms = np.empty((2 * n - 1, curve.dimension))
@@ -225,7 +226,7 @@ def sederberg_terms(curve: RationalBezierCurve) -> np.ndarray:
 def eval_derivative_sederberg(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate r'(t) through the compact numerator form."""
     terms = sederberg_terms(curve)
-    ts = np.array([_check_t(t)])
+    ts = _check_ts([t])
     w = decasteljau_grid(curve.weights[:, None], ts)[0, 0]
     return decasteljau_grid(terms, ts)[0] / (w * w)
 
@@ -236,7 +237,7 @@ def finite_difference(curve: RationalBezierCurve, t: float, h: float = 1e-6) -> 
     Central difference in the interior; one-sided three-point stencils
     when t - h or t + h would leave [0, 1].
     """
-    t = _check_t(t)
+    t = float(_check_ts([t])[0])
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if 2.0 * h >= 1.0:

@@ -80,6 +80,19 @@ def test_eval_invalid_curve(tmp_path, capsys):
     assert "nonpositive weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([True, 1], "JSON numbers only"), (["1", 1], "JSON numbers only"), ([10**400, 1], "weights must be numeric"),
+])
+def test_maximize_refuses_curve_files_with_non_numbers(weights, message, tmp_path, capsys):
+    # JSON true, "1" and an integer past the float range are no weights
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"degree": 1, "points": [[0, 0], [1, 1]], "weights": weights}))
+    assert main(["maximize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_eval_line_segment_midpoint(tmp_path, capsys):
     # w = (1, 2) pulls the t = 0.5 point to x = 1/1.5 = 2/3
     path = tmp_path / "segment.json"

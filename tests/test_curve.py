@@ -17,6 +17,7 @@ from ratbez import (
     curve_to_json_obj,
     eval_point,
     load_curve,
+    maximize_derivative_norm,
     save_curve,
     table1_row,
 )
@@ -184,14 +185,13 @@ def test_validation_runs_once_per_constructed_curve(monkeypatch):
         return _problems(points, weights)
 
     monkeypatch.setattr(ratbez.curve, "_problems", counting)
-    # the family member, and the max-weight rescale inside the form build
+    # the family member only: the form build works on its checked arrays
     table1_row(11, e=10)
-    assert len(calls) == 2
+    assert len(calls) == 1
     curve = counterexample_family(5)
     calls.clear()
     build_derivative_form(curve)
-    assert len(calls) == 1
-    calls.clear()
+    maximize_derivative_norm(curve)
     finite_difference(curve, 0.3)
     eval_point(curve, 0.3)
     assert calls == []
@@ -298,6 +298,9 @@ def test_json_obj_layout():
     assert obj["weights"] == [1.0, 2.0]
     again = curve_from_json_obj(json.loads(json.dumps(obj)))
     assert np.array_equal(again.points, curve.points)
+    # a flat point list is a 1-d curve
+    line = curve_from_json_obj({"degree": 2, "points": [0, 1, 2.5], "weights": [1, 2.0, 1]})
+    assert np.array_equal(line.points, [[0.0], [1.0], [2.5]])
 
 
 def test_json_structural_errors():
@@ -309,6 +312,23 @@ def test_json_structural_errors():
         curve_from_json_obj({"degree": "x", "points": [[0], [1]], "weights": [1, 1]})
     with pytest.raises(ValueError, match="length mismatch"):
         curve_from_json_obj({"degree": 3, "points": [[0], [1]], "weights": [1, 1]})
+    # a JSON integer past the float range
+    with pytest.raises(ValueError, match="weights must be numeric"):
+        curve_from_json_obj({"degree": 1, "points": [[0], [1]], "weights": [10**400, 1]})
+
+
+@pytest.mark.parametrize("points, weights", [
+    ([[0, 0], [1, 1]], [True, 1]),
+    ([[0, 0], [1, 1]], ["1", 1]),
+    ([[0, 0], [1, 1]], [None, 1]),
+    ([[0, False], [1, 1]], [1, 1]),
+    ([[0, "0"], [1, 1]], [1, 1]),
+    ([0, True], [1, 1]),
+])
+def test_json_leaves_must_be_numbers(points, weights):
+    # numpy would read true as 1.0 and "1" as 1.0
+    with pytest.raises(ValueError, match="must hold JSON numbers only"):
+        curve_from_json_obj({"degree": 1, "points": points, "weights": weights})
 
 
 def test_load_curve_io_errors(tmp_path):

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratbez import (
+    DerivativeForm,
     RationalBezierCurve,
     build_derivative_form,
     counterexample_family,
-    derivative_weights,
     elevation_bound,
     eval_derivative_explicit,
     eval_derivative_explicit_many,
-    intermediate_points,
 )
-from ratbez.derivative import _binomials, _product
+from ratbez.derivative import _binomials, _intermediate_points, _product
 
 from oracles import (
     basis_value,
@@ -188,6 +187,22 @@ def test_overflowing_numerator_rejected():
         build_derivative_form(curve)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]],  # a pole at t = 1/2
+    [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    [[1.0, 0.0, 1.0], [1.0, 0.0, np.inf]],
+    [[1.0, 0.0, 1.0], [np.nan, np.nan, np.nan]],
+    [[1.0], [1.0]],
+    np.empty((0, 3)),
+    [1.0, 0.0, 1.0],
+], ids=["weight -1", "weight 0", "weight inf", "nan row", "one column", "zero rows", "1-d rows"])
+def test_hand_built_forms_are_checked(rows):
+    # the maximizer's and the bounds' convex-hull premise needs weights in
+    # (0, inf) and finite numerators; a form that breaks it cannot exist
+    with pytest.raises(ValueError):
+        DerivativeForm(rows)
+
+
 # ---------------------------------------------------------------------------
 # polynomial special case: equal weights reduce to the Bezier derivative
 
@@ -211,7 +226,7 @@ def test_derivative_weights_square_the_weight_function():
     rng = np.random.default_rng(32)
     for n in (1, 3, 6, 10):
         curve = _benign_curve(rng, n, 2)
-        wcoeffs = derivative_weights(curve)
+        wcoeffs = _product(curve.weights[:, None], curve.weights)[:, 0]
         assert wcoeffs.shape == (2 * n + 1,)
         for t in rng.uniform(0.0, 1.0, size=6):
             w = eval_weight(curve, float(t))
@@ -221,7 +236,7 @@ def test_derivative_weights_square_the_weight_function():
 def test_derivative_weights_stay_positive():
     rng = np.random.default_rng(33)
     curve = random_curve(rng, 8, 2)
-    assert (derivative_weights(curve) > 0.0).all()
+    assert (_product(curve.weights[:, None], curve.weights)[:, 0] > 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +248,7 @@ def test_intermediate_points_match_product_rule_numerator():
     rng = np.random.default_rng(34)
     for n, d in [(1, 1), (2, 2), (5, 3), (9, 2)]:
         curve = _benign_curve(rng, n, d)
-        inter = intermediate_points(curve)
+        inter = _intermediate_points(curve.points, curve.weights)
         assert inter.shape == (2 * n, d)
         a_coeffs = curve.points * curve.weights[:, None]
         a_prime = n * np.diff(a_coeffs, axis=0)
@@ -256,7 +271,7 @@ def test_intermediate_points_match_exact_rationals():
     for _ in range(300):
         curve = random_curve(rng, int(rng.integers(1, 25)), int(rng.integers(1, 4)))
         ref = exact_intermediate_points(curve)
-        err = np.abs(intermediate_points(curve) - ref).max() / np.abs(ref).max()
+        err = np.abs(_intermediate_points(curve.points, curve.weights) - ref).max() / np.abs(ref).max()
         worst = max(worst, err)
     assert worst <= 1e-14, f"worst error {worst:.3g} of max|P_j|"
 
@@ -271,7 +286,7 @@ def test_numerator_points_are_elevated_intermediates():
     centred = RationalBezierCurve(points, [2.0**-300, 2.0**300, 2.0**300])
     for curve, used in [(counterexample_family(5), counterexample_family(5)), (tiny, centred)]:
         form = build_derivative_form(curve)
-        assert np.array_equal(form.weights, derivative_weights(used))
+        assert np.array_equal(form.weights, _product(used.weights[:, None], used.weights)[:, 0])
         expected = curve.degree * elevation_product_coeffs(exact_intermediate_points(used), 1)
         rows = form.rows[:, :-1]
         assert np.array_equal(rows[[0, -1]], expected[[0, -1]])
