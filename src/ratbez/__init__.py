@@ -18,7 +18,7 @@ from .curve import (
 from .derivative import (
     DerivativeForm,
     build_derivative_form,
-    eval_derivative_explicit,
+    eval_derivative_explicit,  # not in __all__: perfbench/test_checks.py calls it
     eval_derivative_explicit_many,
 )
 from .experiments import (
@@ -30,7 +30,7 @@ from .experiments import (
     write_table1_csv,
 )
 from .maximize import MaximizerResult, maximize_derivative_norm
-from .svgplot import render_plot, write_plot
+from .svgplot import render_plot
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "curve_from_json_obj",
     "curve_to_json_obj",
     "elevation_bound",
-    "eval_derivative_explicit",
     "eval_derivative_explicit_many",
     "eval_point",
     "load_curve",
@@ -57,7 +56,6 @@ __all__ = [
     "save_curve",
     "table1_row",
     "weight_ratio",
-    "write_plot",
     "write_table1_csv",
     "__version__",
 ]

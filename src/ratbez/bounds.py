@@ -54,11 +54,11 @@ def conjecture_bound(curve: RationalBezierCurve) -> float:
     return value
 
 
-def _step_count(steps, what: str = "step count") -> int:
-    """`steps` as a Python int; ValueError naming `what` unless it is a
-    Python or numpy integer (a bool or a float is refused, even 2.0)."""
+def _step_count(steps) -> int:
+    """`steps` as a Python int; ValueError unless it is a Python or numpy
+    integer (a bool or a float is refused, even 2.0)."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {steps!r}")
+        raise ValueError(f"step count must be an integer, got {steps!r}")
     return int(steps)
 
 
@@ -80,7 +80,7 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     return out
 
 
-def elevation_bound(form: DerivativeForm, e: int = 0) -> float:
+def elevation_bound(form: DerivativeForm, e: int) -> float:
     """Sound bound max_i |n * N_i| / W_i after e joint elevation steps.
 
     The numerator points and weight coefficients of the explicit

@@ -18,7 +18,7 @@ from .curve import eval_point, load_curve
 from .derivative import build_derivative_form
 from .experiments import read_table1_csv, run_table1, write_table1_csv
 from .maximize import maximize_derivative_norm
-from .svgplot import CURVE_KINDS, PLOT_KINDS, write_plot
+from .svgplot import CURVE_KINDS, PLOT_KINDS, render_plot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="curve JSON (curve kinds) or results CSV (table kinds)")
     p.add_argument("--kind", required=True, choices=list(PLOT_KINDS))
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--samples", type=int, default=512)
     p.add_argument("--overlay-bound", type=float, default=None)
 
     return parser
@@ -68,20 +67,19 @@ def cmd_eval(args) -> int:
 
 def cmd_bound(args) -> int:
     curve = load_curve(args.curve)
-    # both bounds are Euclidean; the printed "p=2" keeps the line's format
     if args.method == "conjecture":
         bound = conjecture_bound(curve)
-        print(f"conjecture bound: {bound:.6f} (weight ratio {weight_ratio(curve):.6g}, p=2)")
+        print(f"conjecture bound: {bound:.12g} (weight ratio {weight_ratio(curve):.12g})")
     else:
         bound = elevation_bound(build_derivative_form(curve), args.e)
-        print(f"elevation bound: {bound:.6f} (e={args.e}, p=2)")
+        print(f"elevation bound: {bound:.12g} (e={args.e})")
     return 0
 
 
 def cmd_maximize(args) -> int:
     curve = load_curve(args.curve)
     result = maximize_derivative_norm(curve)
-    print(f"{result.max_value:.6f} @ t={result.argmax_t:.6f}")
+    print(f"{result.max_value:.12g} @ t={result.argmax_t:.12g}")
     return 0
 
 
@@ -107,7 +105,9 @@ def cmd_plot(args) -> int:
         source = {"curve": load_curve(args.input)}
     else:
         source = {"rows": read_table1_csv(args.input)}
-    write_plot(args.kind, args.out, samples=args.samples, overlay_bound=args.overlay_bound, **source)
+    svg = render_plot(args.kind, overlay_bound=args.overlay_bound, **source)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg + "\n")
     return 0
 
 

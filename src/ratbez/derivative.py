@@ -8,7 +8,7 @@ degree 2n.  Its denominator is the squared weight function, the
 Bernstein product of the weights with themselves.  Both are computed on
 the curve's checked arrays.  `DerivativeForm` checks its rows when it is
 built, by the build or by hand, so the maximizer, the bounds and the
-explicit evaluators only see forms with finite numerators and weights in
+explicit evaluator only see forms with finite numerators and weights in
 (0, inf), on which the convex-hull bound holds.
 """
 
@@ -159,15 +159,18 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     return DerivativeForm(np.hstack([numerator, wts[:, None]]))
 
 
-def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
-    """Evaluate r'(t) from the explicit form by homogeneous de Casteljau."""
-    return _rational(form.rows, _check_ts([float(t)]))[0]
-
-
 def eval_derivative_explicit_many(form: DerivativeForm, ts: np.ndarray) -> np.ndarray:
-    """Vectorized `eval_derivative_explicit` over a parameter array.
+    """r'(t) at every parameter of `ts`, one row per t, from the explicit
+    form by homogeneous de Casteljau (for one t, pass `[t]` and take row 0).
 
     Raises ValueError unless `ts` is 1-d and every t is finite and in
     [0, 1].
     """
     return _rational(form.rows, _check_ts(ts))
+
+
+def eval_derivative_explicit(form: DerivativeForm, t: float) -> np.ndarray:
+    """`eval_derivative_explicit_many(form, [t])[0]`.  Not exported in
+    `ratbez.__all__`; kept only because `perfbench/test_checks.py` calls
+    it by this name."""
+    return eval_derivative_explicit_many(form, [t])[0]

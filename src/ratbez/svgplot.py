@@ -1,10 +1,11 @@
 """Dependency-free SVG charts.
 
 Four plot kinds: the curve trace itself, the derivative-magnitude
-profile (optionally with a horizontal bound overlay), and per-degree
-bound-comparison and runtime charts built from experiment rows.
-`render_plot` builds the series of each kind and draws them through one
-chart body into a complete SVG document.
+profile (optionally with a horizontal bound overlay), both sampled at
+512 evenly spaced parameters, and per-degree bound-comparison and
+runtime charts built from experiment rows.  `render_plot` builds the
+series of each kind and draws them through one chart body into a
+complete SVG document string.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import _rowwise_norm
-from .bounds import _step_count
 from .curve import RationalBezierCurve, _rational
 from .derivative import build_derivative_form, eval_derivative_explicit_many
 from .experiments import Table1Row
@@ -20,6 +20,7 @@ from .experiments import Table1Row
 _WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 66, 18, 30, 46
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_SAMPLES = 512  # parameters sampled by the curve kinds
 
 CURVE_KINDS = ("curve", "derivative_norm")
 PLOT_KINDS = CURVE_KINDS + ("bound_comparison", "runtime")
@@ -98,23 +99,22 @@ def _series_chart(series, hlines, xlabel: str, ylabel: str, title: str) -> str:
 
 
 def render_plot(kind: str, curve: RationalBezierCurve | None = None,
-                rows: list[Table1Row] | None = None, samples: int = 512,
+                rows: list[Table1Row] | None = None,
                 overlay_bound: float | None = None) -> str:
     """The SVG document of one plot kind; curve kinds need `curve`, table
-    kinds `rows`.  `samples` (an integer, at least 2) and `overlay_bound`
-    serve the curve kinds: `curve` traces (t, x) for 1-d curves and (x, y)
-    otherwise, `derivative_norm` profiles |r'(t)| over [0, 1].  Data that
-    is not finite, or whose padded range overflows, raises `ValueError`."""
+    kinds `rows`.  The curve kinds sample 512 parameters: `curve` traces
+    (t, x) for 1-d curves and (x, y) otherwise, `derivative_norm` profiles
+    |r'(t)| over [0, 1], with `overlay_bound` drawn as a horizontal line.
+    Data that is not finite, or whose padded range overflows, raises
+    `ValueError`."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    if _step_count(samples, "samples") < 2:
-        raise ValueError("samples must be at least 2")
     source = curve if kind in CURVE_KINDS else rows
     if source is None:
         needs = "a curve input" if kind in CURVE_KINDS else "results-table rows"
         raise ValueError(f"plot kind {kind!r} needs {needs}")
     if kind in CURVE_KINDS:
-        ts = np.linspace(0.0, 1.0, samples)
+        ts = np.linspace(0.0, 1.0, _SAMPLES)
     elif not rows:
         raise ValueError("no rows to plot")
     else:
@@ -138,15 +138,3 @@ def render_plot(kind: str, curve: RationalBezierCurve | None = None,
         series = [("runtime", ns, [r.runtime_seconds for r in rows])]
         chart = series, (), "n", "seconds", "elevation bound runtime"
     return _series_chart(*chart)
-
-
-def write_plot(kind: str, path: str, curve: RationalBezierCurve | None = None,
-               rows: list[Table1Row] | None = None, samples: int = 512,
-               overlay_bound: float | None = None) -> None:
-    """Write the `render_plot` document to `path`."""
-    if not path:
-        raise ValueError("output path must be non-empty")
-    svg = render_plot(kind, curve=curve, rows=rows, samples=samples, overlay_bound=overlay_bound)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-        fh.write("\n")

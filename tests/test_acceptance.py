@@ -27,7 +27,6 @@ from ratbez import (
     build_derivative_form,
     conjecture_bound,
     counterexample_family,
-    eval_derivative_explicit,
     eval_derivative_explicit_many,
     eval_point,
     run_table1,
@@ -114,7 +113,7 @@ def test_extrapolated_difference_order():
     form = build_derivative_form(curve)
 
     def error(t, h):
-        exact = eval_derivative_explicit(form, t)
+        exact = eval_derivative_explicit_many(form, [t])[0]
         return float(np.abs(extrapolated_difference(curve, t, h) - exact).max())
 
     h = 1e-2
@@ -145,7 +144,7 @@ def test_criterion_3_random_corpus_agreement(corpus):
                 compact = decasteljau(terms, t)
                 w = eval_weight(curve, t)
                 compact = compact / (w * w)
-                explicit = eval_derivative_explicit(form, t)
+                explicit = eval_derivative_explicit_many(form, [t])[0]
                 diff = float(np.sqrt(((compact - explicit) ** 2).sum()))
                 scale = 1.0 + float(np.sqrt((explicit * explicit).sum()))
                 worst_rel = max(worst_rel, diff / scale)
@@ -204,7 +203,7 @@ def test_criterion_6_degree_11_fixture():
             ref_dx = fixture11_derivative(t)
             for value in (
                 eval_derivative_sederberg(curve, t),
-                eval_derivative_explicit(form, t),
+                eval_derivative_explicit_many(form, [t])[0],
             ):
                 assert abs(value[0] - ref_dx) <= 1e-10 * abs(ref_dx)
                 assert abs(value[1]) <= 1e-12
@@ -231,9 +230,9 @@ def test_criterion_8_endpoint_identities(corpus):
             form = build_derivative_form(curve)
             checks = [
                 (eval_derivative_sederberg(curve, 0.0), start),
-                (eval_derivative_explicit(form, 0.0), start),
+                (eval_derivative_explicit_many(form, [0.0])[0], start),
                 (eval_derivative_sederberg(curve, 1.0), end),
-                (eval_derivative_explicit(form, 1.0), end),
+                (eval_derivative_explicit_many(form, [1.0])[0], end),
             ]
             for value, ref in checks:
                 scale = 1.0 + float(np.sqrt((ref * ref).sum()))

@@ -11,7 +11,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ratbez import RationalBezierCurve, counterexample_family, eval_point, load_curve, save_curve
+from ratbez import (
+    RationalBezierCurve,
+    build_derivative_form,
+    conjecture_bound,
+    counterexample_family,
+    elevation_bound,
+    eval_point,
+    load_curve,
+    maximize_derivative_norm,
+    render_plot,
+    save_curve,
+)
 from ratbez.cli import main
 
 from oracles import exact_derivative_norm
@@ -124,13 +135,13 @@ def test_eval_round_trips_saved_curves_bitwise(tmp_path, capsys):
 def test_bound_conjecture_output(fam11_file, capsys):
     assert main(["bound", fam11_file]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "conjecture bound: 22.000000 (weight ratio 2, p=2)"
+    assert out == "conjecture bound: 22 (weight ratio 2)"
 
 
 def test_bound_elevation_output(fam11_file, capsys):
     assert main(["bound", fam11_file, "--method", "elevation", "--e", "1000"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "elevation bound: 22.285016 (e=1000, p=2)"
+    assert out == "elevation bound: 22.2850164611 (e=1000)"
 
 
 def test_bound_weight_ratio_past_the_float_range_exit_2(tmp_path, capsys):
@@ -157,7 +168,7 @@ def test_bound_elevation_without_elevating(fam11_file, capsys):
     # it can only be looser than the e = 1000 figure
     assert main(["bound", fam11_file, "--method", "elevation", "--e", "0"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out.startswith("elevation bound: ") and out.endswith("(e=0, p=2)")
+    assert out.startswith("elevation bound: ") and out.endswith("(e=0)")
     value = float(out.split()[2])
     assert np.isfinite(value)
     assert value >= 22.285016 - 1e-6
@@ -170,7 +181,7 @@ def test_bound_past_the_float_range_exits_2(tmp_path, capsys):
     n = 520
     save_curve(RationalBezierCurve([(float(i), 0.0) for i in range(n + 1)], [1.0] * (n + 1)), str(path))
     assert main(["bound", str(path), "--method", "elevation", "--e", "0"]) == 0
-    assert capsys.readouterr().out.strip() == "elevation bound: 520.000000 (e=0, p=2)"
+    assert capsys.readouterr().out.strip() == "elevation bound: 520 (e=0)"
     save_curve(counterexample_family(1017), str(path))
     assert main(["bound", str(path), "--method", "elevation", "--e", "0"]) == 2
     assert "float range" in capsys.readouterr().err
@@ -193,15 +204,13 @@ def test_peak_past_the_float_range_exits_2(tmp_path, capsys):
 def test_maximize_output_format(fam11_file, capsys):
     assert main(["maximize", fam11_file]) == 0
     out = capsys.readouterr().out.strip()
-    value_text, t_text = out.split(" @ t=")
-    assert float(value_text) == pytest.approx(22.152423, abs=1e-4)
-    assert float(t_text) == pytest.approx(0.888645, abs=1e-4)
+    assert out == "22.1524233497 @ t=0.888645172119"
 
 
 def test_maximize_quadratic_peak_exact_text(fam2_file, capsys):
     # the degree-2 member peaks at exactly 8/3 in the middle of the interval
     assert main(["maximize", fam2_file]) == 0
-    assert capsys.readouterr().out.strip() == "2.666667 @ t=0.500000"
+    assert capsys.readouterr().out.strip() == "2.66666666667 @ t=0.5"
 
 
 def _quadratic_file(tmp_path, weights):
@@ -218,16 +227,19 @@ def test_maximize_squared_weights_below_the_float_range_print_the_exact_peak(wei
     path = _quadratic_file(tmp_path, weights)
     assert main(["maximize", path]) == 0
     value_text, t_text = capsys.readouterr().out.strip().split(" @ t=")
-    assert t_text == "0.000000"
-    assert float(value_text) == pytest.approx(exact_derivative_norm(load_curve(path), 0.0), rel=1e-12)
-    assert float(value_text) == pytest.approx(2.0 * np.sqrt(2.0) * 1e200, rel=1e-12)
+    assert t_text == "0"
+    # the line carries 12 digits of the peak, which is exact to 1e-12
+    peak = maximize_derivative_norm(load_curve(path)).max_value
+    assert value_text == f"{peak:.12g}"
+    assert peak == pytest.approx(exact_derivative_norm(load_curve(path), 0.0), rel=1e-12)
+    assert peak == pytest.approx(2.0 * np.sqrt(2.0) * 1e200, rel=1e-12)
 
 
 def test_maximize_huge_common_weight_matches_unit_weights(tmp_path, capsys):
     assert main(["maximize", _quadratic_file(tmp_path, [1e200] * 3)]) == 0
-    assert capsys.readouterr().out.strip() == "2.828427 @ t=0.000000"
+    assert capsys.readouterr().out.strip() == "2.82842712475 @ t=0"
     assert main(["maximize", _quadratic_file(tmp_path, [1.0] * 3)]) == 0
-    assert capsys.readouterr().out.strip() == "2.828427 @ t=0.000000"
+    assert capsys.readouterr().out.strip() == "2.82842712475 @ t=0"
 
 
 def test_maximize_rejects_bad_tol(fam11_file, tmp_path, capsys):
@@ -239,6 +251,25 @@ def test_maximize_rejects_bad_tol(fam11_file, tmp_path, capsys):
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_figures_print_to_twelve_significant_digits(tmp_path, capsys):
+    # a curve of size 1e-8: six decimals printed its peak as 0.000000
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "degree": 2, "points": [[0, 0], [1e-8, 2e-8], [3e-8, 0]], "weights": [1, 2, 1],
+    }))
+    curve = load_curve(str(path))
+    assert main(["bound", str(path)]) == 0
+    assert float(capsys.readouterr().out.split()[2]) == pytest.approx(conjecture_bound(curve), rel=1e-11)
+    assert main(["bound", str(path), "--method", "elevation"]) == 0
+    elevation = elevation_bound(build_derivative_form(curve), 1000)
+    assert float(capsys.readouterr().out.split()[2]) == pytest.approx(elevation, rel=1e-11)
+    assert main(["maximize", str(path)]) == 0
+    value_text, t_text = capsys.readouterr().out.strip().split(" @ t=")
+    result = maximize_derivative_norm(curve)
+    assert float(value_text) == pytest.approx(result.max_value, rel=1e-11)
+    assert float(t_text) == pytest.approx(result.argmax_t, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +335,26 @@ def test_plot_derivative_norm_with_overlay(fam11_file, tmp_path):
     out_svg = tmp_path / "deriv.svg"
     code = main([
         "plot", fam11_file, "--kind", "derivative_norm",
-        "--samples", "300", "--overlay-bound", "22", "--out", str(out_svg),
+        "--overlay-bound", "22", "--out", str(out_svg),
     ])
     assert code == 0
     root = ET.parse(str(out_svg)).getroot()
     overlays = [el for el in root.iter() if el.get("class") == "overlay"]
     assert len(overlays) == 1
+
+
+def test_plot_writes_the_rendered_document(fam2_file, tmp_path, capsys):
+    out_svg = tmp_path / "chart.svg"
+    assert main(["plot", fam2_file, "--kind", "curve", "--out", str(out_svg)]) == 0
+    text = out_svg.read_text()
+    assert text == render_plot("curve", curve=counterexample_family(2)) + "\n"
+    ET.fromstring(text)  # well-formed XML
+    # an empty path fails at the write, like any unwritable path
+    assert main(["plot", fam2_file, "--kind", "curve", "--out", ""]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", fam2_file, "--kind", "curve", "--samples", "300", "--out", str(out_svg)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_plot_table_kinds(tmp_path, capsys):
@@ -345,13 +390,6 @@ def test_plot_rejects_table_rows_the_writer_never_writes(tmp_path, capsys):
         assert code == 2
         assert f"{csv_path}, line 4: {message}" in capsys.readouterr().err
         assert not out_svg.exists()
-
-
-def test_plot_bad_samples(fam2_file, tmp_path, capsys):
-    code = main([
-        "plot", fam2_file, "--kind", "curve", "--samples", "1", "--out", str(tmp_path / "x.svg"),
-    ])
-    assert code == 2
 
 
 def test_plot_non_finite_overlay_is_bad_input(fam2_file, tmp_path, capsys):

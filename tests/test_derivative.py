@@ -14,7 +14,6 @@ from ratbez import (
     build_derivative_form,
     counterexample_family,
     elevation_bound,
-    eval_derivative_explicit,
     eval_derivative_explicit_many,
 )
 from ratbez.derivative import _binomials, _intermediate_points, _product
@@ -216,7 +215,7 @@ def test_equal_weights_reduce_to_polynomial_derivative():
         for t in (0.0, 0.21, 0.5, 0.83, 1.0):
             ref = basis_value(hodo, t)
             assert np.allclose(eval_derivative_sederberg(curve, t), ref, rtol=1e-11, atol=1e-11)
-            assert np.allclose(eval_derivative_explicit(form, t), ref, rtol=1e-11, atol=1e-11)
+            assert np.allclose(eval_derivative_explicit_many(form, [t])[0], ref, rtol=1e-11, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_forms_agree_property(n, d, t, seed):
     curve = _benign_curve(rng, n, d)
     form = build_derivative_form(curve)
     a = eval_derivative_sederberg(curve, t)
-    b = eval_derivative_explicit(form, t)
+    b = eval_derivative_explicit_many(form, [t])[0]
     scale = 1.0 + float(np.sqrt((b * b).sum()))
     assert float(np.sqrt(((a - b) ** 2).sum())) <= 1e-10 * scale
 
@@ -360,7 +359,7 @@ def test_finite_difference_matches_closed_forms():
     form = build_derivative_form(curve)
     for t in (0.0, 0.2, 0.5, 0.77, 1.0):
         fd = finite_difference(curve, t)
-        closed = eval_derivative_explicit(form, t)
+        closed = eval_derivative_explicit_many(form, [t])[0]
         assert np.abs(fd - closed).max() <= 5e-6
 
 
@@ -374,16 +373,6 @@ def test_eval_derivative_explicit_many_checks_parameters():
             eval_derivative_explicit_many(form, ts)
     assert eval_derivative_explicit_many(form, []).shape == (0, 2)
     assert eval_derivative_explicit_many(form, [-0.0, 1.0]).shape == (2, 2)
-
-
-def test_eval_derivative_explicit_many_matches_scalar():
-    rng = np.random.default_rng(37)
-    curve = _benign_curve(rng, 4, 2)
-    form = build_derivative_form(curve)
-    ts = rng.uniform(0.0, 1.0, size=8)
-    many = eval_derivative_explicit_many(form, ts)
-    for k, t in enumerate(ts):
-        assert np.array_equal(many[k], eval_derivative_explicit(form, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +389,9 @@ def test_endpoint_derivatives_match_control_data():
         form = build_derivative_form(curve)
         for value, ref in [
             (eval_derivative_sederberg(curve, 0.0), start),
-            (eval_derivative_explicit(form, 0.0), start),
+            (eval_derivative_explicit_many(form, [0.0])[0], start),
             (eval_derivative_sederberg(curve, 1.0), end),
-            (eval_derivative_explicit(form, 1.0), end),
+            (eval_derivative_explicit_many(form, [1.0])[0], end),
         ]:
             scale = 1.0 + np.abs(ref).max()
             assert np.abs(value - ref).max() <= 1e-12 * scale
@@ -416,7 +405,7 @@ def test_finite_difference_one_sided_at_boundaries():
     form = build_derivative_form(curve)
     for t in (0.0, 1e-9, 1.0 - 1e-9, 1.0):
         fd = finite_difference(curve, t, h=1e-6)
-        closed = eval_derivative_explicit(form, t)
+        closed = eval_derivative_explicit_many(form, [t])[0]
         assert np.abs(fd - closed).max() <= 5e-6
 
 
@@ -436,4 +425,4 @@ def test_derivative_rejects_t_outside_unit_interval():
     with pytest.raises(ValueError):
         eval_derivative_sederberg(curve, -0.2)
     with pytest.raises(ValueError):
-        eval_derivative_explicit(form, 1.2)
+        eval_derivative_explicit_many(form, [1.2])

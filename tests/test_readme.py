@@ -1,15 +1,21 @@
 """The README's `## Library` example runs and gives the figures its
-comments state."""
+comments state, and every command of its `## CLI` block runs."""
 
 import ast
+import contextlib
+import io
+import shlex
 from pathlib import Path
+
+from ratbez.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_block() -> str:
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+def _block(heading: str, fence: str) -> str:
+    """The first `fence` code block under the `## heading` section."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("\n```", 1)[0]
 
 
 def _run(block: str):
@@ -33,7 +39,7 @@ def _agrees(value: float, figure: str) -> bool:
 
 
 def test_library_example_gives_its_commented_figures():
-    block = _library_block()
+    block = _block("Library", "python")
     namespace, values = _run(block)
     # each line's code, stripped, against its comment
     comments = {code.strip(): comment for code, _, comment in
@@ -54,3 +60,18 @@ def test_library_example_gives_its_commented_figures():
         assert figure in comments[line]
         assert _agrees(value, figure), f"{line}: {value!r} does not read as {figure}"
     assert pieces == 19 and comments["res.upper, res.pieces"].rstrip().endswith(", 19")
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    (tmp_path / "curve.json").write_text(_block("CLI", "json") + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True) for line in _block("CLI", "sh").splitlines()]
+    assert commands and all(argv[0] == "ratbez" for argv in commands)
+    printed = {}
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv[1:]) == 0, argv
+        printed[argv[1]] = out.getvalue().strip()
+    assert printed["table1"] == "10 violations (n = 11..20)"
+    assert "such as `10 violations (n = 11..20)`" in README.read_text(encoding="utf-8")
