@@ -96,8 +96,9 @@ def elevation_bound(form: DerivativeForm, e: int) -> float:
 def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """Elevation bound at each step count of `e_list`, in its order.
 
-    Each entry is elevated on its own, in one Bernstein product of e + 1
-    steps, so a profile costs sum(e + 1) product steps over `e_list`.
+    Each entry is elevated on its own, in one Bernstein product with
+    e + 1 ones, so each e costs m + 1 numpy steps (m the form's degree)
+    plus the exact binomial rows of lengths e + 1 and m + e + 1.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

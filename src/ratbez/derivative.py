@@ -90,13 +90,17 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `a` holds m + 1 rows of coefficients and `b` holds l + 1 scalars; the
     degree-(m+l) product has the rows
     sum_j C(m, j) C(l, i-j) a_j b_{i-j} / C(m+l, i).
+    The loop runs over the m + 1 rows of `a`: row a_j, times every b_k,
+    adds one slice of l + 1 rows, out[j : j + l + 1].  So elevating a
+    form by e steps, `_product(rows, np.ones(e + 1))`, takes m + 1 numpy
+    steps whatever e is.
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)
-    scaled = fa[:, None] * a
+    scaled, sb = fa[:, None] * a, (fb * b)[:, None]
     out = np.zeros((m + l + 1, a.shape[1]))
-    for j, (bj, ej) in enumerate(zip(fb * b, eb)):
-        out[j : j + m + 1] += np.ldexp(bj * scaled, (ea + ej - es[j : j + m + 1])[:, None])
+    for j in range(m + 1):
+        out[j : j + l + 1] += np.ldexp(sb * scaled[j], (ea[j] + eb - es[j : j + l + 1])[:, None])
     return out / fs[:, None]
 
 

@@ -106,6 +106,79 @@ def test_elevate_family_form_to_8000_matches_exact_rationals():
             assert abs(Fraction(float(got[i, c])) - exact) <= gamma * scale, (i, c)
 
 
+def _gamma(q):
+    """gamma_q = q u / (1 - q u), u = 2^-53: the relative error bound of q
+    roundings in a row."""
+    u = Fraction(1, 2**53)
+    return q * u / (1 - q * u)
+
+
+def test_elevation_takes_one_numpy_step_per_form_row(monkeypatch):
+    # _product loops over the rows of its first factor, so elevating the
+    # n = 30 form (m + 1 = 61 rows) to e = 8000 takes 61 steps, not the
+    # 8001 of a loop over the ones
+    rows = build_derivative_form(counterexample_family(30)).rows
+    calls, ldexp = [], np.ldexp
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return ldexp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", counting)
+    _elevate(rows, 8000)
+    assert len(calls) == len(rows) == 61
+
+
+def test_product_with_one_keeps_the_rows():
+    # _product(a, [1.0]) gives row j as fl(fl(f_j a_j) / f_j), f_j the
+    # mantissa of C(m, j), and a one-row a times l + 1 ones gives row k as
+    # the same quotient with f_k the mantissa of C(l, k); the power-of-two
+    # shifts are exact.  So every row is within gamma_2 of the input, and
+    # bit for bit where the binomial is a power of two: the end rows, and
+    # every row for m <= 2.
+    rng = np.random.default_rng(20)
+    for k in (0, 1, 2, 3, 30, 1000):
+        a = _random_coeffs(rng, k + 1, 3)
+        for got, want in ((_product(a, [1.0]), a), (_product(a[:1], np.ones(k + 1)), np.repeat(a[:1], k + 1, axis=0))):
+            assert got.shape == want.shape
+            assert _same_bits(got[[0, -1]], want[[0, -1]])
+            if k <= 2:
+                assert _same_bits(got, want)
+            for g, w in zip(got.ravel(), want.ravel()):
+                assert abs(Fraction(float(g)) - Fraction(float(w))) <= _gamma(2) * abs(Fraction(float(w)))
+
+
+def test_elevation_copies_the_end_rows():
+    # the end weights C(m, 0) C(e, 0) / C(m + e, 0) are exactly 1, so the
+    # end rows come out bit for bit; criterion 4's monotone clause rests on it
+    rows = build_derivative_form(counterexample_family(30)).rows
+    for e in (1, 1000, 8000):
+        got = _elevate(rows, e)
+        assert _same_bits(got[0], rows[0]) and _same_bits(got[-1], rows[-1])
+
+
+def test_product_is_symmetric_within_its_rounding_bound():
+    # _product(x[:, None], y) and _product(y[:, None], x) form the same
+    # terms and add them in another order.  Each coordinate errs by the
+    # bound of test_elevate_family_form_to_8000_matches_exact_rationals plus
+    # one rounding, for fb_k y_k (exact there, where y is all ones): at most
+    # gamma_(k+6) sum_j h_ij |x_j y_(i-j)| over its k terms.  So each agrees
+    # with the exact product within that, and the two within twice that.
+    rng = np.random.default_rng(21)
+    x, y = rng.uniform(-5.0, 5.0, size=31), rng.uniform(-5.0, 5.0, size=400)
+    got_xy, got_yx = _product(x[:, None], y)[:, 0], _product(y[:, None], x)[:, 0]
+    m, l = len(x) - 1, len(y) - 1
+    ex, ey = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    for i in range(m + l + 1):
+        js = range(max(0, i - l), min(m, i) + 1)
+        h = {j: Fraction(math.comb(m, j) * math.comb(l, i - j), math.comb(m + l, i)) for j in js}
+        exact = sum(h[j] * ex[j] * ey[i - j] for j in js)
+        bound = _gamma(len(js) + 6) * sum(h[j] * abs(ex[j] * ey[i - j]) for j in js)
+        xy, yx = Fraction(float(got_xy[i])), Fraction(float(got_yx[i]))
+        assert abs(xy - exact) <= bound and abs(yx - exact) <= bound, i
+        assert abs(xy - yx) <= 2 * bound, i
+
+
 def test_elevate_layouts_and_dtypes():
     rng = np.random.default_rng(17)
     wide = _random_coeffs(rng, 3, 9)
