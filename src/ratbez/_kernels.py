@@ -1,12 +1,15 @@
 """Hot numeric kernels: de Casteljau evaluation over parameter grids,
 subdivision at t = 1/2, and the convex-hull scan of norm over weight.
 
-Each kernel is one vectorized numpy body.  The kernels check nothing:
-the public functions that call them validate every argument once.
-``decasteljau_grid`` coerces its arrays to float64 first; ``split`` and
-``hull_ratios`` take the callers' float arrays as they are.  Degree
-elevation is no kernel: it is the Bernstein product with the constant 1,
-``derivative._product``.  Norms are Euclidean throughout.
+Each kernel is one vectorized numpy body.  The kernels check no
+argument: the public functions that call them validate every argument
+once.  ``decasteljau_grid`` coerces its arrays to float64 first; ``split``
+and ``hull_ratios`` take the callers' float arrays as they are.  The one
+check is on a result: ``hull_ratios`` raises ValueError where a ratio
+leaves the float range, for the maximizer and the elevation bound alike.
+Degree elevation is no kernel: it is the Bernstein product with the
+constant 1, ``derivative._product``.  Norms are Euclidean throughout,
+from libm's hypot, which overflows only where the norm itself does.
 """
 
 from __future__ import annotations
@@ -15,15 +18,8 @@ import numpy as np
 
 
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every row of a 2-d array.
-
-    Each row is scaled by the power of two that brings its largest |entry|
-    into [1/2, 1) before squaring, so no square overflows, and the norm is
-    scaled back; both scalings are exact.
-    """
-    _, e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
-    scaled = np.ldexp(rows, -e[:, None])
-    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), e)
+    """The Euclidean norm of every row of a 2-d array (libm's hypot)."""
+    return np.hypot.reduce(rows, axis=1, initial=0.0)
 
 
 def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -67,5 +63,10 @@ def split(coeffs: np.ndarray):
 
 
 def hull_ratios(rows: np.ndarray) -> np.ndarray:
-    """|point| / weight of every homogeneous row (point | weight)."""
-    return _rowwise_norm(rows[:, :-1]) / rows[:, -1]
+    """|point| / weight of every homogeneous row (point | weight);
+    ValueError where a ratio leaves the float range."""
+    with np.errstate(over="ignore"):
+        ratios = _rowwise_norm(rows[:, :-1]) / rows[:, -1]
+    if not np.isfinite(ratios).all():
+        raise ValueError("a convex-hull ratio |point| / weight exceeds the float range")
+    return ratios

@@ -32,8 +32,7 @@ def weight_ratio(curve: RationalBezierCurve) -> float:
         raise ValueError("weight ratio needs at least two control points")
     w = curve.weights
     with np.errstate(over="ignore", divide="ignore"):
-        forward = w[1:] / w[:-1]
-        ratio = float(max(forward.max(), (1.0 / forward).max()))
+        ratio = float(np.maximum(w[1:] / w[:-1], w[:-1] / w[1:]).max())
     if not np.isfinite(ratio):
         raise ValueError("the adjacent weight ratio exceeds the float range")
     return ratio
@@ -64,19 +63,17 @@ def _step_count(steps) -> int:
 
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """(e, bound) at each step count of `e_list`, in its order, each e from
-    its own product of the rows with e + 1 ones; ValueError where the bound
-    leaves the float range."""
+    its own product of the rows with e + 1 ones; ValueError (from
+    `hull_ratios`) where the bound leaves the float range."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
     out = []
     for e in steps:
-        # an overflowing ratio is refused below, not reported as a warning
+        # an overflowing product is refused by hull_ratios, not warned about
         with np.errstate(over="ignore"):
-            value = float(hull_ratios(_product(form.rows, np.ones(e + 1))).max())
-        if not np.isfinite(value):
-            raise ValueError(f"the elevation bound at e = {e} exceeds the float range")
-        out.append((e, value))
+            rows = _product(form.rows, np.ones(e + 1))
+        out.append((e, float(hull_ratios(rows).max())))
     return out
 
 

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="curve JSON (curve kinds) or results CSV (table kinds)")
     p.add_argument("--kind", required=True, choices=list(PLOT_KINDS))
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--overlay-bound", type=float, default=None)
+    p.add_argument("--overlay-bound", type=float, help="bound line (derivative_norm only)")
 
     return parser
 

@@ -142,9 +142,11 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     weights as the rows (n * N_i | W_i).  The weights are first divided by
     their maximum.  Where the smallest square would then fall below
     2^-1020, they are also centred: multiplied by 2^-(e // 2), e the binary
-    exponent of the smallest, so the squared weights straddle 1.  Neither
-    step changes r', and weights whose squares are normal keep the largest
-    at 1, leaving the most room for large points.  Raises ValueError for
+    exponent of the smallest, so the squared weights straddle 1.  In exact
+    arithmetic neither step changes r'; in floats the centring is exact,
+    but the division rounds each weight once unless the maximum is a
+    power of two.  Weights whose squares are normal keep the largest at
+    1, leaving the most room for large points.  Raises ValueError for
     a degree-0 curve, and, from the form's own check, when a squared-weight
     coefficient leaves the float range, which needs weights spanning about
     2^1020, or a numerator row overflows; the family

@@ -104,11 +104,13 @@ def render_plot(kind: str, curve: RationalBezierCurve | None = None,
     """The SVG document of one plot kind; curve kinds need `curve`, table
     kinds `rows`.  The curve kinds sample 512 parameters: `curve` traces
     (t, x) for 1-d curves and (x, y) otherwise, `derivative_norm` profiles
-    |r'(t)| over [0, 1], with `overlay_bound` drawn as a horizontal line.
-    Data that is not finite, or whose padded range overflows, raises
-    `ValueError`."""
+    |r'(t)| over [0, 1], with `overlay_bound` drawn as a horizontal line
+    (no other kind takes one).  Data that is not finite, or whose padded
+    range overflows, raises `ValueError`."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    if overlay_bound is not None and kind != "derivative_norm":
+        raise ValueError(f"plot kind {kind!r} takes no overlay bound; only 'derivative_norm' does")
     source = curve if kind in CURVE_KINDS else rows
     if source is None:
         needs = "a curve input" if kind in CURVE_KINDS else "results-table rows"

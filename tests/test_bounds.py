@@ -59,6 +59,22 @@ def test_weight_ratio_past_the_float_range_raises():
         conjecture_bound(curve)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reversal_leaves_weight_ratio_and_conjecture_bound_bit_identical(n, d, seed):
+    # each direction of w_i / w_{i+1} is one division, and a reversed leg
+    # is the negated leg, so reading the control polygon backwards
+    # changes no bit of either figure
+    curve = random_curve(np.random.default_rng(seed), n, d)
+    backwards = RationalBezierCurve(curve.points[::-1], curve.weights[::-1])
+    assert weight_ratio(backwards) == weight_ratio(curve)
+    assert conjecture_bound(backwards) == conjecture_bound(curve)
+
+
 # ---------------------------------------------------------------------------
 # conjectured bound
 
@@ -151,12 +167,14 @@ def test_elevation_bound_ties_take_first_index():
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_elevation_bound_reports_the_first_largest_row(n, d, e, seed):
-    # the bound against plain numpy norms of the elevated rows
+    # the bound against numpy's hypot norms of the elevated rows, folded
+    # column by column
     form = build_derivative_form(random_curve(np.random.default_rng(seed), n, d))
     rows = _product(form.rows, np.ones(e + 1))
-    points = rows[:, :-1]
-    ratios = np.sqrt((points * points).sum(axis=1)) / rows[:, -1]
-    assert elevation_bound(form, e) == ratios.max()
+    norms = np.zeros(len(rows))
+    for column in rows[:, :-1].T:
+        norms = np.hypot(norms, column)
+    assert elevation_bound(form, e) == (norms / rows[:, -1]).max()
 
 
 def test_elevation_bound_tight_for_two_point_curve():

@@ -404,6 +404,19 @@ def test_plot_non_finite_overlay_is_bad_input(fam2_file, tmp_path, capsys):
         assert not out_svg.exists()
 
 
+def test_plot_overlay_on_other_kinds_is_bad_input(fam2_file, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    assert main(["table1", "--n-min", "2", "--n-max", "3", "--e", "20", "--out", str(csv_path)]) == 0
+    capsys.readouterr()
+    for kind, source in (("curve", fam2_file), ("bound_comparison", str(csv_path)),
+                         ("runtime", str(csv_path))):
+        out_svg = tmp_path / f"{kind}.svg"
+        code = main(["plot", source, "--kind", kind, "--overlay-bound", "5", "--out", str(out_svg)])
+        assert code == 2
+        assert f"plot kind '{kind}' takes no overlay bound" in capsys.readouterr().err
+        assert not out_svg.exists()
+
+
 def test_plot_unwritable_output_is_io_error(fam2_file, tmp_path):
     code = main([
         "plot", fam2_file, "--kind", "curve",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ratbez import build_derivative_form, counterexample_family
-from ratbez._kernels import decasteljau_grid, hull_ratios, split
+from ratbez._kernels import _rowwise_norm, decasteljau_grid, hull_ratios, split
 from ratbez.derivative import _product
 
 from oracles import basis_value
@@ -196,6 +196,42 @@ def test_elevate_layouts_and_dtypes():
         assert np.array_equal(coeffs, before)
 
 
+def _exact_norm(row):
+    """The Euclidean norm of `row` from its exact sum of squares: the root
+    truncated to 1200 fraction bits, far past the float's 53, then
+    rounded to float."""
+    square = sum(Fraction(float(x)) ** 2 for x in row)
+    k = 1200
+    return float(Fraction(math.isqrt(square.numerator * 4**k // square.denominator), 2**k))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_rowwise_norm_within_one_ulp_of_the_exact_norm(cols):
+    rng = np.random.default_rng(20 + cols)
+    rows = rng.uniform(-1.0, 1.0, size=(2000, cols)) * np.exp2(rng.integers(-60, 61, size=(2000, cols)))
+    got = _rowwise_norm(rows)
+    ref = np.array([_exact_norm(row) for row in rows])
+    assert (np.abs(got - ref) <= np.spacing(ref)).all()
+    if cols == 1:
+        assert np.array_equal(got, np.abs(rows[:, 0]))
+
+
+def test_rowwise_norm_at_both_ends_of_the_float_range():
+    # the squares of 1e308 overflow and those of 5e-324 underflow to 0,
+    # but the norms are finite and exactly rounded
+    big, tiny = _rowwise_norm(np.array([[1e308, 1e308], [5e-324, 5e-324]]))
+    assert big == _exact_norm([1e308, 1e308]) == 1.4142135623730951e308
+    assert tiny == _exact_norm([5e-324, 5e-324]) == 5e-324
+
+
+def test_hull_ratios_past_the_float_range_raise():
+    # a norm past the float maximum, and a finite norm over a small weight:
+    # ValueError, not inf and a RuntimeWarning
+    for row in ([1.7e308, 1.7e308, 1.0], [1e308, 1e308, 0.5]):
+        with pytest.raises(ValueError, match="float range"):
+            hull_ratios(np.array([[1.0, 0.0, 1.0], row]))
+
+
 def _unit_weights(nums):
     return np.hstack([nums, np.ones((len(nums), 1))])
 
@@ -209,8 +245,8 @@ def test_hull_ratios_against_numpy_norms():
 
 
 def test_hull_ratios_power_of_two_row_scaling():
-    # squares of 2^660-sized entries overflow; the row scaling keeps the
-    # 3-4-5 triangle exact at both ends of the range
+    # squares of 2^660-sized entries overflow; hypot keeps the 3-4-5
+    # triangle exact at both ends of the range
     for k in (660, -660):
         big = np.ldexp(np.array([[3.0, 4.0], [0.0, 0.0]]), k)
         assert np.array_equal(hull_ratios(_unit_weights(big)), [np.ldexp(5.0, k), 0.0])

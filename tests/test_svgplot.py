@@ -55,6 +55,17 @@ def test_plot_argument_checks():
         render_plot("runtime", rows=[inf_row])
 
 
+def test_overlay_bound_only_on_the_derivative_norm_plot():
+    # a bound the chart would not draw is refused, not silently dropped
+    curve = counterexample_family(2)
+    rows = [table1_row(2, e=10)]
+    with pytest.raises(ValueError, match="plot kind 'curve' takes no overlay bound"):
+        render_plot("curve", curve=curve, overlay_bound=5.0)
+    for kind in ("bound_comparison", "runtime"):
+        with pytest.raises(ValueError, match=f"plot kind '{kind}' takes no overlay bound"):
+            render_plot(kind, rows=rows, overlay_bound=5.0)
+
+
 def test_curve_plot_sample_count_and_ranges():
     curve = counterexample_family(4)
     svg = render_plot("curve", curve=curve)
