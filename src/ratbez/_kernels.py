@@ -18,8 +18,11 @@ import numpy as np
 
 
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every row of a 2-d array (libm's hypot)."""
-    return np.hypot.reduce(rows, axis=1, initial=0.0)
+    """The Euclidean norm of every row of a 2-d array (libm's hypot); inf,
+    without a warning, where a norm exceeds the float range, so each
+    caller's finiteness check refuses it."""
+    with np.errstate(over="ignore"):
+        return np.hypot.reduce(rows, axis=1, initial=0.0)
 
 
 def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

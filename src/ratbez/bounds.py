@@ -8,7 +8,7 @@ Two bounds are provided:
   some curves; see the experiments module), and
 * a sound supremum bound read off the explicit derivative form: after
   jointly degree-elevating its numerator points and weight coefficients
-  e times, max_i |n * N_i| / W_i bounds sup |r'(t)| for every e, and the
+  e times, max_i |N_i| / W_i bounds sup |r'(t)| for every e, and the
   bound is non-increasing as e grows.  The e-fold elevation is one
   Bernstein product of the form's rows with the constant 1 written at
   degree e (sum_i B_i^e = 1), computed for each e on its own.
@@ -78,7 +78,7 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
 
 
 def elevation_bound(form: DerivativeForm, e: int) -> float:
-    """Sound bound max_i |n * N_i| / W_i after e joint elevation steps.
+    """Sound bound max_i |N_i| / W_i after e joint elevation steps.
 
     The numerator points and weight coefficients of the explicit
     derivative form are elevated together, so the quotient they define

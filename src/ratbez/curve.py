@@ -36,9 +36,15 @@ def _check_ts(ts) -> np.ndarray:
 
 def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The rational curve of the homogeneous `rows` (point | weight) at every
-    checked t in `ts`: one grid evaluation, one division."""
+    checked t in `ts`: one grid evaluation, one division; ValueError where
+    a value leaves the float range."""
     h = decasteljau_grid(rows, ts)
-    return h[:, :-1] / h[:, -1:]
+    # a weight sum that underflows to 0 divides by zero: refused below too
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = h[:, :-1] / h[:, -1:]
+    if not np.isfinite(values).all():
+        raise ValueError("a curve value exceeds the float range")
+    return values
 
 
 def _problems(points: np.ndarray, weights: np.ndarray) -> list[str]:

@@ -3,8 +3,8 @@
 `build_derivative_form` writes r'(t) as an explicit rational Bezier
 curve of degree 2n, built from the control data alone.  Its numerator
 is the product-rule numerator p'(t) w(t) - p(t) w'(t): a sum over pairs
-of weighted control-point differences at degree 2n - 1, elevated once to
-degree 2n.  Its denominator is the squared weight function, the
+of weighted control-point differences at its own degree, 2n - 2, elevated
+to degree 2n.  Its denominator is the squared weight function, the
 Bernstein product of the weights with themselves.  Both are computed on
 the curve's checked arrays.  `DerivativeForm` checks its rows when it is
 built, by the build or by hand, so the maximizer, the bounds and the
@@ -25,14 +25,14 @@ from .curve import RationalBezierCurve, _check_ts, _rational
 class DerivativeForm:
     """Explicit degree-2n rational representation of r'(t).
 
-    `rows` holds the 2n + 1 homogeneous rows (n * N_i | W_i), read-only,
-    with r'(t) = sum n N_i B_i / sum W_i B_i, N_i the product-rule
+    `rows` holds the 2n + 1 homogeneous rows (N_i | W_i), read-only,
+    with r'(t) = sum N_i B_i / sum W_i B_i, N_i the product-rule
     numerator points.  The properties below are read off it:
 
     degree             len(rows) - 1
     weights            W_i, Bernstein coefficients of w(t)^2, up to
                        the constant factor the weights were scaled by
-    control_points     Q_i = n * N_i / W_i, the derivative's own
+    control_points     Q_i = N_i / W_i, the derivative's own
                        rational control points
 
     Construction raises ValueError unless the rows form a 2-d array of at
@@ -105,30 +105,32 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _intermediate_points(points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Degree-(2n-1) numerator points P_j of p'(t) w(t) - p(t) w'(t), for
+    """Degree-(2n-2) numerator points D_k of p'(t) w(t) - p(t) w'(t), for
     the n + 1 control `points` and weights `w` of a curve of degree n >= 1.
 
     With A(t) the weighted-point numerator of the curve, the product-rule
-    numerator A'(t) w(t) - A(t) w'(t) equals n * sum_j P_j B_j^{2n-1}(t) with
+    numerator A'(t) w(t) - A(t) w'(t) is the sum over the pairs a < b of
+    w_a w_b (p_b - p_a) (B_b' B_a - B_b B_a').  Each bracket is
+    (b - a) B_a B_b / (t (1 - t)), a multiple of the one basis function
+    B_{a+b-1}^{2n-2}, so the numerator is sum_k D_k B_k^{2n-2}(t) with
 
-        P_j = sum (b - a) C(n, a) C(n, b) w_a w_b (p_b - p_a) / (n C(2n-1, j))
+        D_k = sum (b - a) C(n, a) C(n, b) w_a w_b (p_b - p_a) / C(2n-2, k)
 
-    over the pairs a < b with a + b in {j, j + 1}.  Each term carries a
-    difference of two control points, so points far from the origin
-    cause no cancellation.  The binomials' mantissas are multiplied and
-    divided, and their exponents applied to each finished term, so no
-    binomial leaves the float range, and a term underflows only where its
-    value does.
+    over the pairs with a + b - 1 = k (written at degree 2n - 1, its top
+    coefficient would cancel).  Each term carries a difference of two control
+    points, so points far from the origin cause no cancellation.  The
+    binomials' mantissas are multiplied and divided, and their exponents
+    applied to each finished term, so no binomial leaves the float range,
+    and a term underflows only where its value does.
     """
     n = len(w) - 1
     a, b = np.triu_indices(n + 1, 1)
-    (f, e), (fw, ew) = _binomials(n), _binomials(2 * n - 1)
-    pair, shift = f[a] * f[b], e[a] + e[b]
-    diff = (w[a] * w[b])[:, None] * (points[b] - points[a])
-    out = np.zeros((2 * n, points.shape[1]))
-    for j in (a + b - 1, a + b):
-        np.add.at(out, j, np.ldexp((pair / fw[j] * (b - a))[:, None] * diff, (shift - ew[j])[:, None]))
-    return out / n
+    k = a + b - 1
+    (f, e), (fk, ek) = _binomials(n), _binomials(2 * n - 2)
+    term = (f[a] * f[b] / fk[k] * (b - a))[:, None] * ((w[a] * w[b])[:, None] * (points[b] - points[a]))
+    out = np.zeros((2 * n - 1, points.shape[1]))
+    np.add.at(out, k, np.ldexp(term, (e[a] + e[b] - ek[k])[:, None]))
+    return out
 
 
 def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
@@ -136,10 +138,10 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
 
     The squared weights are the Bernstein product of the weights with
     themselves, W_i = sum_j [C(n, j) C(n, i-j) / C(2n, i)] w_j w_{i-j}.
-    The degree-(2n-1) numerator points are elevated once, as a Bernstein
-    product with the constant 1, so numerator and squared-weight
+    The degree-(2n-2) numerator points are elevated twice, as one
+    Bernstein product with the constant 1, so numerator and squared-weight
     denominator share degree 2n, and the form stores them beside the
-    weights as the rows (n * N_i | W_i).  The weights are first divided by
+    weights as the rows (N_i | W_i).  The weights are first divided by
     their maximum.  Where the smallest square would then fall below
     2^-1020, they are also centred: multiplied by 2^-(e // 2), e the binary
     exponent of the smallest, so the squared weights straddle 1.  In exact
@@ -161,7 +163,7 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     # out-of-range values are refused by DerivativeForm, not reported as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         wts = _product(w[:, None], w)[:, 0]
-        numerator = n * _product(_intermediate_points(curve.points, w), np.ones(2))
+        numerator = _product(_intermediate_points(curve.points, w), np.ones(3))
     return DerivativeForm(np.hstack([numerator, wts[:, None]]))
 
 

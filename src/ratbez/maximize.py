@@ -1,7 +1,7 @@
 """Maximization of the derivative magnitude |r'(t)| on [0, 1].
 
 The explicit derivative form is a rational Bezier curve with positive
-weights, so on each de Casteljau piece of it max |n N_i| / W_i bounds
+weights, so on each de Casteljau piece of it max |N_i| / W_i bounds
 |r'| (convex hull property), and the end rows give attained values.
 Branch and bound halves the piece with the largest bound until the best
 attained value is within a relative 1e-10 of it.  In exact arithmetic

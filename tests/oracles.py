@@ -4,18 +4,22 @@ Most of these deliberately avoid the library's evaluation paths:
 binomials come from an additive Pascal triangle, curve values from
 direct basis summation, elevated coefficients from the one-shot
 binomial-product formula (and, for bitwise checks, from the textbook
-row-major elevation step), the derivative's numerator points from the
-product formula in exact rational arithmetic, and the degree-11 family
-fixture from its explicit rational-function form.
+row-major elevation step), the derivative's degree-(2n - 2) numerator
+points from the product formula A'w - Aw' in exact rational arithmetic,
+reduced exactly from degree 2n - 1, and the degree-11 family fixture from
+its explicit rational-function form.
 
 The compact derivative numerator (after Sederberg), the Bernstein
 helpers and the finite-difference estimate live here too, since only
 tests call them.  `decasteljau`, `eval_weight` and
 `eval_derivative_sederberg` evaluate through the library's
 `decasteljau_grid` kernel, and `finite_difference` through its
-`eval_point`.  `sederberg_terms` shares no arithmetic with the library:
-it rounds its own exact integer binomials to floats, and raises
-ValueError where one exceeds the float range (C(1030, 515) is the first).
+`eval_point`.  `sederberg_terms` gives the same D_k as the library's
+private pair sum, at the same degree from the same pairs, and differs from
+it only in arithmetic: it rounds its own exact integer binomials to
+floats, and raises ValueError where one exceeds the float range
+(C(1030, 515) is the first).  So `exact_intermediate_points`, which uses
+no pair formula, is the independent check of those points.
 `exact_derivative_norm` gives |r'(t)| from the control data in exact
 rational arithmetic, rounded only at the end.
 """
@@ -83,27 +87,42 @@ def _common_integers(values):
 
 
 def exact_intermediate_points(curve: RationalBezierCurve) -> np.ndarray:
-    """Numerator points P_j, rounded once from their exact rational values.
+    """Numerator points D_k of degree 2n - 2, rounded once from their exact
+    rational values.
 
-    With A_i = w_i p_i, P = product(dA, w) - product(A, dw) in Bernstein
-    form of degree 2n - 1:
-    P_j = sum_i C(n-1, i) C(n, j-i) (dA_i w_{j-i} - A_{j-i} dw_i) / C(2n-1, j).
-    The inputs are dyadic, so every sum is an exact integer.
+    With A_i = w_i p_i, the product-rule numerator A'w - Aw' has the
+    degree-(2n - 1) Bernstein coefficients
+    c_j = n sum_i C(n-1, i) C(n, j-i) (dA_i w_{j-i} - A_{j-i} dw_i) / C(2n-1, j).
+    Its true degree is 2n - 2, so one elevation step
+    c_j = (j D_{j-1} + (2n-1-j) D_j) / (2n - 1) is undone from the left,
+    D_k = ((2n-1) c_k - k D_{k-1}) / (2n-1-k), and the top coefficient is
+    checked to cancel: c_{2n-1} = D_{2n-2}.  The inputs are dyadic, so every
+    value is an exact rational; no pair formula is used.
     """
     n = curve.degree
+    m = 2 * n - 1
     w, wscale = _common_integers(curve.weights)
     dw = [w[i + 1] - w[i] for i in range(n)]
-    out = np.empty((2 * n, curve.dimension))
+    out = np.empty((m, curve.dimension))
     for c in range(curve.dimension):
         p, pscale = _common_integers(curve.points[:, c])
         a = [w[i] * p[i] for i in range(n + 1)]
         da = [a[i + 1] - a[i] for i in range(n)]
-        for j in range(2 * n):
-            total = sum(
-                comb(n - 1, i) * comb(n, j - i) * (da[i] * w[j - i] - a[j - i] * dw[i])
-                for i in range(max(0, j - n), min(n - 1, j) + 1)
+        coeffs = [
+            Fraction(
+                n * sum(
+                    comb(n - 1, i) * comb(n, j - i) * (da[i] * w[j - i] - a[j - i] * dw[i])
+                    for i in range(max(0, j - n), min(n - 1, j) + 1)
+                ),
+                comb(m, j) * wscale * wscale * pscale,
             )
-            out[j, c] = float(Fraction(total, comb(2 * n - 1, j) * wscale * wscale * pscale))
+            for j in range(m + 1)
+        ]
+        reduced = [coeffs[0]]
+        for k in range(1, m):
+            reduced.append((m * coeffs[k] - k * reduced[-1]) / (m - k))
+        assert coeffs[m] == reduced[-1], "the degree-(2n - 1) top coefficient must cancel"
+        out[:, c] = [float(v) for v in reduced]
     return out
 
 

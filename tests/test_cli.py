@@ -189,13 +189,15 @@ def test_bound_past_the_float_range_exits_2(tmp_path, capsys):
 
 def test_peak_past_the_float_range_exits_2(tmp_path, capsys):
     # finite control data whose derivative peaks at 1e310
-    path = tmp_path / "steep.json"
+    path, out_svg = tmp_path / "steep.json", tmp_path / "steep.svg"
     save_curve(RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10]), str(path))
-    for argv in (["maximize", str(path)], ["bound", str(path), "--method", "elevation", "--e", "10"]):
+    for argv in (["maximize", str(path)], ["bound", str(path), "--method", "elevation", "--e", "10"],
+                 ["plot", str(path), "--kind", "derivative_norm", "--out", str(out_svg)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "float range" in captured.err
+    assert not out_svg.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,16 @@ def test_overflowing_numerator_rejected():
         build_derivative_form(curve)
 
 
+def test_explicit_evaluator_past_the_float_range_raises():
+    # r'(1) = (1 / 1e-10) * 1e300 = 1e310 on a valid curve; weights of
+    # 5e-324 sum to 0 at t = 1/2 in floats on a valid hand-built form
+    steep = build_derivative_form(RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10]))
+    tiny = DerivativeForm([[1.0, 5e-324]] * 3)
+    for form, t in ((steep, 1.0), (tiny, 0.5)):
+        with pytest.raises(ValueError, match="float range"):
+            eval_derivative_explicit_many(form, [t])
+
+
 @pytest.mark.parametrize("rows", [
     [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]],  # a pole at t = 1/2
     [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
@@ -242,19 +252,19 @@ def test_derivative_weights_stay_positive():
 # intermediate numerator points: product-rule identity
 
 def test_intermediate_points_match_product_rule_numerator():
-    # n * sum_j P_j B_j^{2n-1}(t) must equal A'(t) w(t) - A(t) w'(t),
+    # sum_k D_k B_k^{2n-2}(t) must equal A'(t) w(t) - A(t) w'(t),
     # where A is the weighted-point numerator of the curve
     rng = np.random.default_rng(34)
     for n, d in [(1, 1), (2, 2), (5, 3), (9, 2)]:
         curve = _benign_curve(rng, n, d)
         inter = _intermediate_points(curve.points, curve.weights)
-        assert inter.shape == (2 * n, d)
+        assert inter.shape == (2 * n - 1, d)
         a_coeffs = curve.points * curve.weights[:, None]
         a_prime = n * np.diff(a_coeffs, axis=0)
         w_prime = n * np.diff(curve.weights)
         for t in rng.uniform(0.0, 1.0, size=5):
             t = float(t)
-            lhs = n * basis_value(inter, t)
+            lhs = basis_value(inter, t)
             rhs = basis_value(a_prime, t) * basis_value(curve.weights, t) - basis_value(
                 a_coeffs, t
             ) * basis_value(w_prime, t)
@@ -263,8 +273,8 @@ def test_intermediate_points_match_product_rule_numerator():
 
 
 def test_intermediate_points_match_exact_rationals():
-    # each P_j is a sum of point differences, so its error stays at the
-    # rounding of the largest P_j even where the product formula cancels
+    # each D_k is a sum of point differences, so its error stays at the
+    # rounding of the largest D_k even where the product formula cancels
     rng = np.random.default_rng(20260819)
     worst = 0.0
     for _ in range(300):
@@ -272,11 +282,11 @@ def test_intermediate_points_match_exact_rationals():
         ref = exact_intermediate_points(curve)
         err = np.abs(_intermediate_points(curve.points, curve.weights) - ref).max() / np.abs(ref).max()
         worst = max(worst, err)
-    assert worst <= 1e-14, f"worst error {worst:.3g} of max|P_j|"
+    assert worst <= 1e-14, f"worst error {worst:.3g} of max|D_k|"
 
 
 def test_numerator_points_are_elevated_intermediates():
-    # the numerator rows are n times the elevated exact intermediate points
+    # the numerator rows are the exact degree-(2n - 2) points, elevated twice,
     # of the curve the form builds on: its weights divided by their maximum,
     # and centred only where a square would fall below 2^-1020 (2^-600 is
     # centred by 2^300, exactly)
@@ -286,14 +296,14 @@ def test_numerator_points_are_elevated_intermediates():
     for curve, used in [(counterexample_family(5), counterexample_family(5)), (tiny, centred)]:
         form = build_derivative_form(curve)
         assert np.array_equal(form.weights, _product(used.weights[:, None], used.weights)[:, 0])
-        expected = curve.degree * elevation_product_coeffs(exact_intermediate_points(used), 1)
+        expected = elevation_product_coeffs(exact_intermediate_points(used), 2)
         rows = form.rows[:, :-1]
         assert np.array_equal(rows[[0, -1]], expected[[0, -1]])
         assert np.allclose(rows, expected, rtol=1e-15, atol=0.0)
 
 
 def test_control_points_identity():
-    # Q_i * W_i == n * N_i, by construction up to one rounding each way
+    # Q_i * W_i == N_i, by construction up to one rounding each way
     rng = np.random.default_rng(35)
     curve = random_curve(rng, 7, 3)
     form = build_derivative_form(curve)

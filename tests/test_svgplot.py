@@ -121,6 +121,14 @@ def test_ticks_stay_finite_near_the_float_limit():
     assert float(ticks[-1]) == pytest.approx(1.05e308, rel=1e-3)
 
 
+def test_derivative_norm_past_the_float_range_raises():
+    # every |r'(t)| = 1.5e308 * sqrt(2) overflows in the norm, which must
+    # hand the inf to the finiteness check, not warn (warnings are errors)
+    curve = RationalBezierCurve([(0.0, 0.0), (1.5e308, 1.5e308)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="plot data must be finite"):
+        render_plot("derivative_norm", curve=curve)
+
+
 def test_bound_comparison_has_three_series():
     rows = [table1_row(n, e=10) for n in (2, 3, 4)]
     svg = render_plot("bound_comparison", rows=rows)
