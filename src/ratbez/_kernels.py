@@ -4,9 +4,13 @@ subdivision at t = 1/2, and the convex-hull scan of norm over weight.
 Each kernel is one vectorized numpy body.  The kernels check no
 argument: the public functions that call them validate every argument
 once.  ``decasteljau_grid`` coerces its arrays to float64 first; ``split``
-and ``hull_ratios`` take the callers' float arrays as they are.  The one
-check is on a result: ``hull_ratios`` raises ValueError where a ratio
-leaves the float range, for the maximizer and the elevation bound alike.
+and ``hull_ratios`` take the callers' float arrays as they are.  The
+package's one float-range rule lives here: arithmetic that may leave the
+float range runs under ``np.errstate(all="ignore")``, and a result that
+must be finite returns through ``finite``, which raises ValueError where
+it is not; so a valid input gives a finite value or a ValueError, never
+a RuntimeWarning.  ``hull_ratios`` applies it for the maximizer and the
+elevation bound alike.
 Degree elevation is no kernel: it is the Bernstein product with the
 constant 1, ``derivative._product``.  Norms are Euclidean throughout,
 from libm's hypot, which overflows only where the norm itself does.
@@ -17,11 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def finite(values, what: str):
+    """`values`, or ValueError("<what> exceeds the float range") where any
+    of them is inf or nan: the one refusal of a result past the float range."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} exceeds the float range")
+    return values
+
+
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:
     """The Euclidean norm of every row of a 2-d array (libm's hypot); inf,
     without a warning, where a norm exceeds the float range, so each
     caller's finiteness check refuses it."""
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         return np.hypot.reduce(rows, axis=1, initial=0.0)
 
 
@@ -68,8 +80,5 @@ def split(coeffs: np.ndarray):
 def hull_ratios(rows: np.ndarray) -> np.ndarray:
     """|point| / weight of every homogeneous row (point | weight);
     ValueError where a ratio leaves the float range."""
-    with np.errstate(over="ignore"):
-        ratios = _rowwise_norm(rows[:, :-1]) / rows[:, -1]
-    if not np.isfinite(ratios).all():
-        raise ValueError("a convex-hull ratio |point| / weight exceeds the float range")
-    return ratios
+    with np.errstate(all="ignore"):
+        return finite(_rowwise_norm(rows[:, :-1]) / rows[:, -1], "a convex-hull ratio |point| / weight")

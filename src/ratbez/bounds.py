@@ -8,17 +8,20 @@ Two bounds are provided:
   some curves; see the experiments module), and
 * a sound supremum bound read off the explicit derivative form: after
   jointly degree-elevating its numerator points and weight coefficients
-  e times, max_i |N_i| / W_i bounds sup |r'(t)| for every e, and the
-  bound is non-increasing as e grows.  The e-fold elevation is one
-  Bernstein product of the form's rows with the constant 1 written at
-  degree e (sum_i B_i^e = 1), computed for each e on its own.
+  e times, max_i |N_i| / W_i bounds sup |r'(t)| for every e.  In exact
+  arithmetic the bound is non-increasing as e grows; in floats it can
+  rise by an ulp (DerivativeForm([[0.1, 0.7]] * 4) reads
+  0.1428571428571429 at e = 7, 0.14285714285714293 at e = 8).  The
+  e-fold elevation is one Bernstein product of the form's rows with the
+  constant 1 written at degree e (sum_i B_i^e = 1), computed for each e
+  on its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, hull_ratios
+from ._kernels import _rowwise_norm, finite, hull_ratios
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm, _product
 
@@ -31,11 +34,8 @@ def weight_ratio(curve: RationalBezierCurve) -> float:
     if curve.degree < 1:
         raise ValueError("weight ratio needs at least two control points")
     w = curve.weights
-    with np.errstate(over="ignore", divide="ignore"):
-        ratio = float(np.maximum(w[1:] / w[:-1], w[:-1] / w[1:]).max())
-    if not np.isfinite(ratio):
-        raise ValueError("the adjacent weight ratio exceeds the float range")
-    return ratio
+    with np.errstate(all="ignore"):
+        return finite(float(np.maximum(w[1:] / w[:-1], w[:-1] / w[1:]).max()), "the adjacent weight ratio")
 
 
 def conjecture_bound(curve: RationalBezierCurve) -> float:
@@ -45,12 +45,9 @@ def conjecture_bound(curve: RationalBezierCurve) -> float:
     range.
     """
     ratio = weight_ratio(curve)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         longest = float(_rowwise_norm(np.diff(curve.points, axis=0)).max())
-    value = curve.degree * ratio * longest
-    if not np.isfinite(value):
-        raise ValueError("the conjectured bound exceeds the float range")
-    return value
+    return finite(curve.degree * ratio * longest, "the conjectured bound")
 
 
 def _step_count(steps) -> int:
@@ -70,8 +67,8 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
         raise ValueError("elevation step counts must be nonnegative")
     out = []
     for e in steps:
-        # an overflowing product is refused by hull_ratios, not warned about
-        with np.errstate(over="ignore"):
+        # a product past the float range is refused by hull_ratios, not warned about
+        with np.errstate(all="ignore"):
             rows = _product(form.rows, np.ones(e + 1))
         out.append((e, float(hull_ratios(rows).max())))
     return out

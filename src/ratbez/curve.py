@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid
+from ._kernels import decasteljau_grid, finite
 
 
 def _check_ts(ts) -> np.ndarray:
@@ -39,12 +39,9 @@ def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     checked t in `ts`: one grid evaluation, one division; ValueError where
     a value leaves the float range."""
     h = decasteljau_grid(rows, ts)
-    # a weight sum that underflows to 0 divides by zero: refused below too
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = h[:, :-1] / h[:, -1:]
-    if not np.isfinite(values).all():
-        raise ValueError("a curve value exceeds the float range")
-    return values
+    # a weight sum that underflows to 0 divides by zero: refused too
+    with np.errstate(all="ignore"):
+        return finite(h[:, :-1] / h[:, -1:], "a curve value")
 
 
 def _problems(points: np.ndarray, weights: np.ndarray) -> list[str]:
@@ -117,11 +114,14 @@ class RationalBezierCurve:
         largest into [1/2, 1), so w_i p_i cannot overflow; the scaling is
         exact, and the curve it defines is the same.  Where the weights span
         more than the normal range, the scale stops where the smallest
-        weight would leave it.
+        weight would leave it, but never takes the largest past 2^1024.
+        Raises ValueError where a w_i p_i then leaves the float range.
         """
         w = self.weights
-        w = np.ldexp(w, -min(np.frexp(w.max())[1], np.frexp(w.min())[1] + 1021))[:, None]
-        return np.hstack([self.points * w, w])
+        top, low = np.frexp(w.max())[1], np.frexp(w.min())[1]
+        with np.errstate(all="ignore"):
+            w = np.ldexp(w, -max(min(top, low + 1021), top - 1024))[:, None]
+            return np.hstack([finite(self.points * w, "a weighted control point"), w])
 
 
 def eval_point(curve: RationalBezierCurve, t: float) -> np.ndarray:

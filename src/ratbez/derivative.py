@@ -161,7 +161,7 @@ def build_derivative_form(curve: RationalBezierCurve) -> DerivativeForm:
     if w.min() < 2.0 ** -510:
         w = np.ldexp(w, -(np.frexp(w.min())[1] // 2))
     # out-of-range values are refused by DerivativeForm, not reported as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         wts = _product(w[:, None], w)[:, 0]
         numerator = _product(_intermediate_points(curve.points, w), np.ones(3))
     return DerivativeForm(np.hstack([numerator, wts[:, None]]))

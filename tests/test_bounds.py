@@ -240,6 +240,12 @@ def test_elevation_bound_past_the_float_range_raises():
         elevation_bound(form, 0)
     with pytest.raises(ValueError, match="float range"):
         bound_profile(form, [0, 10])
+    # elevation takes weights of 5e-324 to 0: the ratios 0 / 0 and 1 / 0
+    # of valid hand-built forms are errors, not nan or inf and a warning
+    with pytest.raises(ValueError, match="float range"):
+        elevation_bound(DerivativeForm([[5e-324, 5e-324]] * 3), 10)
+    with pytest.raises(ValueError, match="float range"):
+        bound_profile(DerivativeForm([[1.0, 5e-324], [1.0, 1.0]]), [3])
 
 
 def test_elevation_bound_rejects_negative_steps():

@@ -18,6 +18,7 @@ from ratbez import (
     eval_point,
     load_curve,
     maximize_derivative_norm,
+    render_plot,
     save_curve,
     table1_row,
 )
@@ -252,6 +253,22 @@ def test_points_near_the_float_limit_with_large_weights():
     assert np.array_equal(at_half, [1.25e300, 0.25])
     for t in (0.0, 0.5, 0.8, 1.0):
         assert np.isfinite(finite_difference(heavy, t)).all()
+
+
+def test_weights_spread_past_the_float_range_still_evaluate():
+    # 1e300 / 5e-324 is past the float maximum; scaling the weights so the
+    # smallest stays normal would take 1e300 past 2^1024 too, so the scale
+    # stops where the largest reaches [2^1023, 2^1024) and r(1/2) = 1
+    curve = RationalBezierCurve([[0.0], [1.0]], [5e-324, 1e300])
+    rows = curve.homogeneous()
+    assert np.isfinite(rows).all()
+    assert 2.0**1023 <= rows[-1, -1] < np.inf
+    assert np.array_equal(eval_point(curve, 0.5), [1.0])
+    assert "<svg" in render_plot("curve", curve)
+    # with the largest weight at 2^1023 or more, 4 w overflows: a
+    # ValueError, not inf and a RuntimeWarning
+    with pytest.raises(ValueError, match="weighted control point exceeds the float range"):
+        RationalBezierCurve([[0.0], [4.0]], [5e-324, 1e300]).homogeneous()
 
 
 def test_eval_rejects_t_outside_unit_interval():

@@ -187,8 +187,8 @@ def test_overflowing_numerator_rejected():
 
 
 def test_explicit_evaluator_past_the_float_range_raises():
-    # r'(1) = (1 / 1e-10) * 1e300 = 1e310 on a valid curve; weights of
-    # 5e-324 sum to 0 at t = 1/2 in floats on a valid hand-built form
+    # r'(1) = (1 / 1e-10) * 1e300 = 1e310 on a valid curve; the valid
+    # hand-built form has r' = 1 / 5e-324, about 2.0e323, everywhere
     steep = build_derivative_form(RationalBezierCurve([(0.0,), (1e300,)], [1.0, 1e-10]))
     tiny = DerivativeForm([[1.0, 5e-324]] * 3)
     for form, t in ((steep, 1.0), (tiny, 0.5)):
