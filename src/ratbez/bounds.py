@@ -6,11 +6,13 @@ Two bounds are provided:
 * the conjectured bound n * W * max_i |p_{i+1} - p_i|, where W is the
   largest adjacent weight ratio taken in both directions (it fails for
   some curves; see the experiments module), and
-* a sound supremum bound read off the explicit derivative form: after
+* a supremum bound read off the explicit derivative form: after
   jointly degree-elevating its numerator points and weight coefficients
-  e times, max_i |N_i| / W_i bounds sup |r'(t)| for every e.  In exact
-  arithmetic the bound is non-increasing as e grows; in floats it can
-  rise by an ulp (DerivativeForm([[0.1, 0.7]] * 4) reads
+  e times, max_i |N_i| / W_i bounds sup |r'(t)| for every e.  It is sound
+  in exact arithmetic only: the float value carries no rounding
+  allowance, so it may fall short of the true supremum by rounding
+  error.  In exact arithmetic the bound is non-increasing as e grows; in
+  floats it can rise by an ulp (DerivativeForm([[0.1, 0.7]] * 4) reads
   0.1428571428571429 at e = 7, 0.14285714285714293 at e = 8).  The
   e-fold elevation is one Bernstein product of the form's rows with the
   constant 1 written at degree e (sum_i B_i^e = 1), computed for each e
@@ -75,13 +77,14 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
 
 
 def elevation_bound(form: DerivativeForm, e: int) -> float:
-    """Sound bound max_i |N_i| / W_i after e joint elevation steps.
+    """Bound max_i |N_i| / W_i after e joint elevation steps.
 
     The numerator points and weight coefficients of the explicit
     derivative form are elevated together, so the quotient they define
     is unchanged while the coefficient-wise ratio tightens toward
-    sup |r'(t)|.  Raises ValueError unless `e` is a nonnegative integer,
-    and where the bound leaves the float range.
+    sup |r'(t)|.  The bound is sound in exact arithmetic; its float value
+    has no rounding allowance yet.  Raises ValueError unless `e` is a
+    nonnegative integer, and where the bound leaves the float range.
     """
     [(_, value)] = _elevated(form, [e])
     return value

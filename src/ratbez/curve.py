@@ -6,9 +6,10 @@ A rational Bezier curve of degree n is
 
 with control points p_i, positive weights w_i, and the Bernstein basis
 B_i^n(t) = C(n, i) t^i (1 - t)^(n - i) (with 0^0 = 1).  All evaluation
-goes through the de Casteljau recurrence; the curve is evaluated in
-homogeneous form (w_i p_i, w_i) with a single division at the end, so
-the endpoints are reproduced exactly.
+goes through the de Casteljau recurrence on homogeneous rows, (w_i p_i,
+w_i) for a curve, with a single division at the end.  Curve points come
+from one body, ``_points``, which also returns p_0 and p_n exactly at
+t = 0 and t = 1.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ def _check_ts(ts) -> np.ndarray:
 def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The rational curve of the homogeneous `rows` (point | weight) at every
     checked t in `ts`: one grid evaluation, one division; ValueError where
-    a value leaves the float range."""
-    h = decasteljau_grid(rows, ts)
+    a value leaves the float range.  The rows are first scaled by the power
+    of two that takes their largest |entry| into [2^1021, 2^1022), which is
+    exact and leaves the curve as it is, so subnormal rows evaluate too."""
+    h = decasteljau_grid(np.ldexp(rows, 1022 - np.frexp(np.abs(rows).max())[1]), ts)
     # a weight sum that underflows to 0 divides by zero: refused too
     with np.errstate(all="ignore"):
         return finite(h[:, :-1] / h[:, -1:], "a curve value")
@@ -54,11 +57,9 @@ def _problems(points: np.ndarray, weights: np.ndarray) -> list[str]:
         errors.append(f"length mismatch: {npts} points vs {nwts} weights")
     if points.shape[1] == 0:
         errors.append("points have zero dimension")
-    finite = np.isfinite(points).all(axis=1)
-    if not (((weights > 0.0) & (weights < np.inf)).all() and finite.all()):
-        errors += [f"{'non-finite' if not np.isfinite(w) else 'nonpositive'} weight at index {i}"
-                   for i, w in enumerate(weights) if not 0.0 < w < np.inf]
-        errors += [f"non-finite coordinate in point {i}" for i in np.flatnonzero(~finite)]
+    errors += [f"{'non-finite' if not np.isfinite(w) else 'nonpositive'} weight at index {i}"
+               for i, w in enumerate(weights) if not 0.0 < w < np.inf]
+    errors += [f"non-finite coordinate in point {i}" for i in np.flatnonzero(~np.isfinite(points).all(axis=1))]
     return errors
 
 
@@ -107,31 +108,28 @@ class RationalBezierCurve:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def homogeneous(self) -> np.ndarray:
-        """The rows (w_i p_i | w_i) for rational evaluation.
 
-        The weights are first scaled by the power of two that brings the
-        largest into [1/2, 1), so w_i p_i cannot overflow; the scaling is
-        exact, and the curve it defines is the same.  Where the weights span
-        more than the normal range, the scale stops where the smallest
-        weight would leave it, but never takes the largest past 2^1024.
-        Raises ValueError where a w_i p_i then leaves the float range.
-        """
-        w = self.weights
-        top, low = np.frexp(w.max())[1], np.frexp(w.min())[1]
-        with np.errstate(all="ignore"):
-            w = np.ldexp(w, -max(min(top, low + 1021), top - 1024))[:, None]
-            return np.hstack([finite(self.points * w, "a weighted control point"), w])
+def _points(curve: RationalBezierCurve, ts: np.ndarray) -> np.ndarray:
+    """The curve points r(t) at every checked t in `ts`: p_0 and p_n exactly
+    at t = 0 and t = 1, `_rational` of the rows (w_i p_i | w_i) between.
+
+    The weights are scaled by 2^(1022 - E), E the largest over the rows of
+    the exponent of w_i plus that of max_j |p_ij| (if above 0), so every
+    w_i and w_i p_i is below 2^1022 and none overflows; the scale is exact.
+    A weight flushes to 0 only where weights and points together span more
+    than the float range."""
+    p, w = curve.points, curve.weights
+    e = np.frexp(w)[1] + np.maximum(np.frexp(np.abs(p).max(axis=1))[1], 0)
+    w = np.ldexp(w, 1022 - e.max())[:, None]
+    inner = (ts > 0.0) & (ts < 1.0)
+    out = np.where(ts[:, None] == 0.0, p[0], p[-1])
+    out[inner] = _rational(np.hstack([p * w, w]), ts[inner])
+    return out
 
 
 def eval_point(curve: RationalBezierCurve, t: float) -> np.ndarray:
     """Evaluate the curve point r(t) via homogeneous de Casteljau."""
-    ts = _check_ts([float(t)])
-    if ts[0] == 0.0:
-        return curve.points[0].copy()
-    if ts[0] == 1.0:
-        return curve.points[-1].copy()
-    return _rational(curve.homogeneous(), ts)[0]
+    return _points(curve, _check_ts([float(t)]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import _rowwise_norm
-from .curve import RationalBezierCurve, _rational
+from .curve import RationalBezierCurve, _points
 from .derivative import build_derivative_form, eval_derivative_explicit_many
 from .experiments import Table1Row
 
@@ -122,7 +122,7 @@ def render_plot(kind: str, curve: RationalBezierCurve | None = None,
     else:
         ns = [r.degree for r in rows]
     if kind == "curve":
-        pts = _rational(curve.homogeneous(), ts)
+        pts = _points(curve, ts)
         if curve.dimension == 1:
             chart = [("r(t)", ts, pts[:, 0])], (), "t", "x", "curve"
         else:

@@ -115,15 +115,16 @@ def test_eval_line_segment_midpoint(tmp_path, capsys):
 
 
 def test_eval_spread_weights_in_a_fresh_interpreter(tmp_path):
-    # weights 5e-324 and 1e300 span past the float range, yet r(1/2) = 1;
+    # weights 5e-324 and 1e300 span past the float range, yet r(1/2) = p_1;
     # the uninstalled entry point, with every warning an error
-    path = tmp_path / "spread.json"
-    save_curve(RationalBezierCurve([[0.0], [1.0]], [5e-324, 1e300]), str(path))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error")
-    proc = subprocess.run([sys.executable, "-c", "from ratbez.cli import run; run()", "eval", str(path), "0.5"],
-                          capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "1", "")
+    for end in ("1", "4"):
+        path = tmp_path / f"spread{end}.json"
+        save_curve(RationalBezierCurve([[0.0], [float(end)]], [5e-324, 1e300]), str(path))
+        proc = subprocess.run([sys.executable, "-c", "from ratbez.cli import run; run()", "eval", str(path), "0.5"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, end, "")
 
 
 def test_eval_round_trips_saved_curves_bitwise(tmp_path, capsys):

@@ -22,7 +22,7 @@ from ratbez import (
     save_curve,
     table1_row,
 )
-from ratbez.curve import _problems
+from ratbez.curve import _points, _problems
 
 from oracles import (
     basis_value,
@@ -232,15 +232,28 @@ def test_eval_point_quarter_circle():
         assert np.hypot(point[0], point[1]) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_homogeneous_rows_scale_weights_by_a_power_of_two():
+def test_curve_points_scale_weights_by_a_power_of_two():
+    # the weights are scaled by a power of two before any w_i p_i is formed,
+    # so weights differing by a power of two give bit-identical points
     curve = RationalBezierCurve([(1.0, -2.0), (3.0, 0.5), (-4.0, 8.0)], [3.0, 40.0, 0.7])
-    rows = curve.homogeneous()
-    # 40 = 0.625 * 2^6: every weight is divided by 2^6 exactly
-    assert np.array_equal(rows[:, -1], curve.weights / 64.0)
-    assert np.array_equal(rows[:, :-1], curve.points * (curve.weights / 64.0)[:, None])
-    # weights spanning more than the normal range: none may flush to zero
+    ts = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    for k in (-1000, -52, 6, 900):
+        scaled = RationalBezierCurve(curve.points, np.ldexp(curve.weights, k))
+        assert np.array_equal(_points(scaled, ts), _points(curve, ts))
+    # weights spanning more than the normal range: none may flush to zero;
+    # at t = 2^-1073 the second term is 4 w_0, so r = (w_0 p_0 + 4 w_0 p_1) / 5 w_0,
+    # where a flushed w_0 would give p_1 = (0, 1)
     wide = RationalBezierCurve([(1.0, 0.0), (0.0, 1.0)], [5e-324, 2.0])
-    assert np.array_equal(wide.homogeneous()[:, -1], np.ldexp(wide.weights, 52))
+    assert np.array_equal(eval_point(wide, 1e-323), [0.2, 0.8])
+
+
+def test_curve_points_exact_at_both_ends(corpus):
+    # p_0 and p_n come back bit-for-bit, for eval_point and the curve plot
+    # alike, also where w_0 p_0 and w_1 p_1 span past the float range and
+    # the scaled w_0 flushes to 0
+    flushed = RationalBezierCurve([[1.0], [1e300]], [5e-324, 1e300])
+    for curve in [c for c, _ in corpus] + [flushed]:
+        assert np.array_equal(_points(curve, np.array([0.0, 1.0])), curve.points[[0, -1]])
 
 
 def test_points_near_the_float_limit_with_large_weights():
@@ -256,19 +269,13 @@ def test_points_near_the_float_limit_with_large_weights():
 
 
 def test_weights_spread_past_the_float_range_still_evaluate():
-    # 1e300 / 5e-324 is past the float maximum; scaling the weights so the
-    # smallest stays normal would take 1e300 past 2^1024 too, so the scale
-    # stops where the largest reaches [2^1023, 2^1024) and r(1/2) = 1
-    curve = RationalBezierCurve([[0.0], [1.0]], [5e-324, 1e300])
-    rows = curve.homogeneous()
-    assert np.isfinite(rows).all()
-    assert 2.0**1023 <= rows[-1, -1] < np.inf
-    assert np.array_equal(eval_point(curve, 0.5), [1.0])
-    assert "<svg" in render_plot("curve", curve)
-    # with the largest weight at 2^1023 or more, 4 w overflows: a
-    # ValueError, not inf and a RuntimeWarning
-    with pytest.raises(ValueError, match="weighted control point exceeds the float range"):
-        RationalBezierCurve([[0.0], [4.0]], [5e-324, 1e300]).homogeneous()
+    # 1e300 / 5e-324 is past the float maximum; the weights are scaled so
+    # the largest w_i p_i stays below 2^1022, and r(1/2) = p_1 * 1e300 /
+    # (5e-324 + 1e300) = p_1
+    for end in (1.0, 4.0):
+        curve = RationalBezierCurve([[0.0], [end]], [5e-324, 1e300])
+        assert np.array_equal(eval_point(curve, 0.5), [end])
+        assert "<svg" in render_plot("curve", curve)
 
 
 def test_eval_rejects_t_outside_unit_interval():

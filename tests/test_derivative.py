@@ -196,6 +196,12 @@ def test_explicit_evaluator_past_the_float_range_raises():
             eval_derivative_explicit_many(form, [t])
 
 
+def test_explicit_evaluator_scales_subnormal_rows():
+    # r' = 1 everywhere; unscaled, the weight sum 0.5 * 5e-324 rounds to 0
+    form = DerivativeForm([[5e-324, 5e-324]] * 3)
+    assert np.array_equal(eval_derivative_explicit_many(form, [0.0, 0.5, 1.0]), [[1.0]] * 3)
+
+
 @pytest.mark.parametrize("rows", [
     [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]],  # a pole at t = 1/2
     [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
