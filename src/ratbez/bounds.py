@@ -63,16 +63,22 @@ def _step_count(steps) -> int:
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """(e, bound) at each step count of `e_list`, in its order, each e from
     its own product of the rows with e + 1 ones; ValueError (from
-    `hull_ratios`) where the bound leaves the float range."""
+    `hull_ratios`) where the bound leaves the float range.  Rows whose
+    largest |entry| is below 1/2 are first multiplied by the power of two
+    that takes it into [1/2, 1), which changes no ratio, so the product's
+    binomial mantissas in [1/2, 1] round no subnormal weight to 0."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
+    rows, top = form.rows, np.abs(form.rows).max()
+    if top < 0.5:
+        rows = np.ldexp(rows, -np.frexp(top)[1])
     out = []
     for e in steps:
         # a product past the float range is refused by hull_ratios, not warned about
         with np.errstate(all="ignore"):
-            rows = _product(form.rows, np.ones(e + 1))
-        out.append((e, float(hull_ratios(rows).max())))
+            elevated = _product(rows, np.ones(e + 1))
+        out.append((e, float(hull_ratios(elevated).max())))
     return out
 
 
@@ -95,7 +101,8 @@ def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
 
     Each entry is elevated on its own, in one Bernstein product with
     e + 1 ones, so each e costs m + 1 numpy steps (m the form's degree)
-    plus the exact binomial rows of lengths e + 1 and m + e + 1.
+    plus the binomial rows of lengths e + 1 and m + e + 1, each a Python
+    loop over half the row on integers of at most about 192 bits.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

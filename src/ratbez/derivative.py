@@ -14,11 +14,15 @@ explicit evaluator only see forms with finite numerators and weights in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import RationalBezierCurve, _check_ts, _rational
+
+# bits kept by the binomial enclosure in `_binomials`
+_WIDTH = 96
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,18 +74,39 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
     """C(m, i) for i = 0..m as mantissas f in [1/2, 1] and integer exponents e,
     C(m, i) = f * 2**e, each f correctly rounded; no degree overflows.
 
-    The multiplicative recurrence runs over the first half of the row only,
-    and each exact C(m, i) is rounded as soon as it is formed and written
-    to both i and m - i, so one big integer is alive at a time.
+    The multiplicative recurrence runs over the first half of the row and
+    carries integers lo <= hi and a shift s with lo * 2**s <= C(m, i) <=
+    hi * 2**s: lo rounds down and hi up at each step, and once hi passes
+    2 * _WIDTH bits both are cut back to _WIDTH bits, lo down and hi up.
+    Until the first cut lo = hi = C(m, i) exactly.  Rounding to a float is
+    monotone, so where float(lo) = float(hi) and both have k bits, that
+    float over 2**k is the correctly rounded mantissa and k + s the
+    exponent; elsewhere the exact math.comb(m, i) is rounded instead.  So
+    no integer grows past about 2 * _WIDTH bits, and the half row, kept
+    in lists, fills both ends of each array at once.
     """
-    f, e = np.empty(m + 1), np.empty(m + 1, dtype=np.int64)
-    c = 1
+    top = 1 << 2 * _WIDTH
+    fs, es = [], []
+    lo = hi = 1
+    s = 0
     for i in range(m // 2 + 1):
-        k = c.bit_length()
-        f[i] = f[m - i] = c / (1 << k)
-        e[i] = e[m - i] = k
-        c = c * (m - i) // (i + 1)
-    return f, e
+        k = hi.bit_length()
+        f = float(lo)
+        if f == float(hi) and lo >> (k - 1):
+            fs.append(f / (1 << k))
+            es.append(k + s)
+        else:
+            c = math.comb(m, i)
+            k = c.bit_length()
+            fs.append(c / (1 << k))
+            es.append(k)
+        lo = lo * (m - i) // (i + 1)
+        hi = -(-hi * (m - i) // (i + 1))
+        if hi >= top:
+            cut = hi.bit_length() - _WIDTH
+            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
+    rest = (m + 1) // 2  # C(m, i) = C(m, m - i) for the i past m // 2
+    return np.array(fs + fs[:rest][::-1]), np.array(es + es[:rest][::-1], dtype=np.int64)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,7 +118,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The loop runs over the m + 1 rows of `a`: row a_j, times every b_k,
     adds one slice of l + 1 rows, out[j : j + l + 1].  So elevating a
     form by e steps, `_product(rows, np.ones(e + 1))`, takes m + 1 numpy
-    steps whatever e is.
+    steps whatever e is.  The rest of its cost is the binomial rows of m,
+    l and m + l, each a Python loop over half the row (`_binomials`).
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)

@@ -240,12 +240,21 @@ def test_elevation_bound_past_the_float_range_raises():
         elevation_bound(form, 0)
     with pytest.raises(ValueError, match="float range"):
         bound_profile(form, [0, 10])
-    # elevation takes weights of 5e-324 to 0: the ratios 0 / 0 and 1 / 0
-    # of valid hand-built forms are errors, not nan or inf and a warning
-    with pytest.raises(ValueError, match="float range"):
-        elevation_bound(DerivativeForm([[5e-324, 5e-324]] * 3), 10)
+    # a unit numerator over a weight of 5e-324: the ratio 2e323 of a valid
+    # hand-built form is an error, not inf and a warning
     with pytest.raises(ValueError, match="float range"):
         bound_profile(DerivativeForm([[1.0, 5e-324], [1.0, 1.0]]), [3])
+
+
+def test_elevation_bound_lifts_subnormal_forms():
+    # rows whose largest |entry| is below 1/2 are lifted by a power of two
+    # first, so the product's mantissas in [1/2, 1] round no weight to 0:
+    # the bound is max |N_i| / W_i read off the rows at every e
+    tiny = DerivativeForm([[5e-324, 5e-324]] * 3)
+    assert bound_profile(tiny, [0, 10, 1000]) == [(0, 1.0), (10, 1.0), (1000, 1.0)]
+    assert elevation_bound(tiny, 0) == 1.0
+    mixed = DerivativeForm([[1e-300, 5e-324], [1e-300, 1e-300]])
+    assert bound_profile(mixed, [0, 10, 1000]) == [(e, 2.0240225330731062e23) for e in (0, 10, 1000)]
 
 
 def test_elevation_bound_rejects_negative_steps():

@@ -1,5 +1,6 @@
 """Closed-form derivative representations against independent oracles."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ratbez import (
     elevation_bound,
     eval_derivative_explicit_many,
 )
+from ratbez import derivative
 from ratbez.derivative import _binomials, _intermediate_points, _product
 
 from oracles import (
@@ -147,6 +149,55 @@ def test_binomials_stay_small_at_degree_8060():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert np.array_equal(f, f[::-1]) and np.array_equal(e, e[::-1])
+
+
+def _assert_rounded_as_exact(m, rng):
+    # at both ends, the centre and random i: the mantissa of C(m, i) is
+    # the exact integer over 2^k, correctly rounded, and the exponent is k
+    f, e = _binomials(m)
+    for i in {0, 1, m // 2, (m + 1) // 2, m - 1, m, *rng.integers(0, m + 1, size=8).tolist()}:
+        c = math.comb(m, i)
+        k = c.bit_length()
+        assert f[i] == c / (1 << k) and e[i] == k, (m, i)
+
+
+def test_binomials_enclosure_rounds_as_the_exact_integers():
+    # past 2 * _WIDTH bits the row is carried as an integer enclosure
+    rng = np.random.default_rng(24)
+    for m in (1030, 2047, 8060, 20011):
+        _assert_rounded_as_exact(m, rng)
+
+
+def test_binomials_narrow_enclosure_falls_back_to_exact_integers(monkeypatch):
+    # an 8-bit enclosure settles few roundings, so the exact branch runs
+    # often, and every row is still the same bit for bit (rows past 2047
+    # would take seconds of math.comb calls)
+    monkeypatch.setattr(derivative, "_WIDTH", 8)
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda m, i: calls.append(m) or comb(m, i))
+    rng = np.random.default_rng(8)
+    for m in (1030, 2047):
+        _assert_rounded_as_exact(m, rng)
+    row = [1]  # Pascal's row m, grown by additions
+    for m in range(301):
+        f, e = _binomials(m)
+        assert np.array_equal(f, [c / (1 << c.bit_length()) for c in row])
+        assert np.array_equal(e, [c.bit_length() for c in row])
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    assert any(m < 301 for m in calls)
+
+
+def test_benchmark_rows_need_no_exact_integer(monkeypatch):
+    # the rows e and m + e of the e = 1000..8000 elevations of the family
+    # forms, m = 4..60, settle every rounding inside the enclosure: a slide
+    # back to the exact integers would show as math.comb calls
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda m, i: calls.append((m, i)) or comb(m, i))
+    for m in {e + k for e in (1000, 2000, 4000, 8000) for k in (0, *range(4, 61, 2))}:
+        _binomials(m)
+    assert calls == []
 
 
 def _exact_binomials(m):
