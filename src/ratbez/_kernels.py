@@ -10,7 +10,8 @@ float range runs under ``np.errstate(all="ignore")``, and a result that
 must be finite returns through ``finite``, which raises ValueError where
 it is not; so a valid input gives a finite value or a ValueError, never
 a RuntimeWarning.  ``hull_ratios`` applies it for the maximizer and the
-elevation bound alike.
+elevation bound alike, and ``lift`` gives both the evaluator and the
+elevation bound one exact power-of-two scaling of homogeneous rows.
 Degree elevation is no kernel: it is the Bernstein product with the
 constant 1, ``derivative._product``.  Norms are Euclidean throughout,
 from libm's hypot, which overflows only where the norm itself does.
@@ -27,6 +28,13 @@ def finite(values, what: str):
     if not np.isfinite(values).all():
         raise ValueError(f"{what} exceeds the float range")
     return values
+
+
+def lift(rows: np.ndarray) -> np.ndarray:
+    """`rows` times the power of two that takes their largest |entry| into
+    [2^1021, 2^1022): exact, so it changes no ratio of two entries, and
+    every entry at least 2^-2043 times the largest comes out normal."""
+    return np.ldexp(rows, 1022 - np.frexp(np.abs(rows).max())[1])
 
 
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _rowwise_norm, finite, hull_ratios
+from ._kernels import _rowwise_norm, finite, hull_ratios, lift
 from .curve import RationalBezierCurve
 from .derivative import DerivativeForm, _product
 
@@ -63,16 +63,16 @@ def _step_count(steps) -> int:
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """(e, bound) at each step count of `e_list`, in its order, each e from
     its own product of the rows with e + 1 ones; ValueError (from
-    `hull_ratios`) where the bound leaves the float range.  Rows whose
-    largest |entry| is below 1/2 are first multiplied by the power of two
-    that takes it into [1/2, 1), which changes no ratio, so the product's
-    binomial mantissas in [1/2, 1] round no subnormal weight to 0."""
+    `hull_ratios`) where the bound leaves the float range.  The rows are
+    first lifted as `curve._rational` lifts them (`lift`: the largest
+    |entry| into [2^1021, 2^1022)), which changes no ratio, so the
+    product's binomial mantissas in [1/2, 1] round no subnormal weight of a
+    form to 0, also beside a row near 1; the product's weights sum to 1
+    per row, so nothing overflows."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
-    rows, top = form.rows, np.abs(form.rows).max()
-    if top < 0.5:
-        rows = np.ldexp(rows, -np.frexp(top)[1])
+    rows = lift(form.rows)
     out = []
     for e in steps:
         # a product past the float range is refused by hull_ratios, not warned about
@@ -100,9 +100,12 @@ def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """Elevation bound at each step count of `e_list`, in its order.
 
     Each entry is elevated on its own, in one Bernstein product with
-    e + 1 ones, so each e costs m + 1 numpy steps (m the form's degree)
-    plus the binomial rows of lengths e + 1 and m + e + 1, each a Python
-    loop over half the row on integers of at most about 192 bits.
+    e + 1 ones, so each e costs m + 1 numpy steps (m the form's degree),
+    each adding an (e + 1)-long slice of every coordinate row times one
+    power-of-two vector (or, past C(m + e, m) > 2^1073, through np.ldexp
+    per coordinate), plus the binomial rows of lengths e + 1 and
+    m + e + 1, each a Python loop over half the row on integers of at
+    most about 192 bits.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import decasteljau_grid, finite
+from ._kernels import decasteljau_grid, finite, lift
 
 
 def _check_ts(ts) -> np.ndarray:
@@ -38,10 +38,10 @@ def _check_ts(ts) -> np.ndarray:
 def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The rational curve of the homogeneous `rows` (point | weight) at every
     checked t in `ts`: one grid evaluation, one division; ValueError where
-    a value leaves the float range.  The rows are first scaled by the power
-    of two that takes their largest |entry| into [2^1021, 2^1022), which is
-    exact and leaves the curve as it is, so subnormal rows evaluate too."""
-    h = decasteljau_grid(np.ldexp(rows, 1022 - np.frexp(np.abs(rows).max())[1]), ts)
+    a value leaves the float range.  The rows are first lifted (`lift`:
+    their largest |entry| into [2^1021, 2^1022)), which is exact and leaves
+    the curve as it is, so subnormal rows evaluate too."""
+    h = decasteljau_grid(lift(rows), ts)
     # a weight sum that underflows to 0 divides by zero: refused too
     with np.errstate(all="ignore"):
         return finite(h[:, :-1] / h[:, -1:], "a curve value")

@@ -112,22 +112,33 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bernstein coefficients of the product of two Bernstein polynomials.
 
-    `a` holds m + 1 rows of coefficients and `b` holds l + 1 scalars; the
+    `a` holds m + 1 rows of c coordinates and `b` holds l + 1 scalars; the
     degree-(m+l) product has the rows
     sum_j C(m, j) C(l, i-j) a_j b_{i-j} / C(m+l, i).
-    The loop runs over the m + 1 rows of `a`: row a_j, times every b_k,
-    adds one slice of l + 1 rows, out[j : j + l + 1].  So elevating a
-    form by e steps, `_product(rows, np.ones(e + 1))`, takes m + 1 numpy
-    steps whatever e is.  The rest of its cost is the binomial rows of m,
-    l and m + l, each a Python loop over half the row (`_binomials`).
+    Each binomial is a mantissa in [1/2, 1] and an exponent (`_binomials`):
+    fa, ea for m, fb, eb for l and fs, es for m + l.  The sums run in one
+    contiguous row per coordinate, shape (c, m + l + 1), returned
+    transposed.  The loop runs over the m + 1 rows of `a`: row a_j adds
+    x_k = (fa_j a_j)(fb_k b_k) times 2**s_k, s_k = ea_j + eb_k - es_{j+k},
+    to the columns j .. j + l, so elevating a form by e steps,
+    `_product(rows, np.ones(e + 1))`, takes m + 1 numpy steps whatever e
+    is.  Each step multiplies by one vector np.ldexp(1.0, s): every weight
+    C(m, j) C(l, k) / C(m+l, j+k) is at least 1 / C(m+l, m) >= 2**-es_m,
+    so every s_k >= -es_m - 1, and while es_m <= 1073 each 2**s_k is an
+    exact float, and x * 2**s rounds once, to the bits of np.ldexp(x, s).
+    Larger products shift each coordinate with np.ldexp(x, s).  The rest
+    of the cost is the binomial rows, each a Python loop over half the
+    row, now the larger part of an elevation.
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)
-    scaled, sb = fa[:, None] * a, (fb * b)[:, None]
-    out = np.zeros((m + l + 1, a.shape[1]))
+    scaled, sb = (fa[:, None] * a).T, fb * b
+    out = np.zeros((a.shape[1], m + l + 1))
+    exact = es[m] <= 1073  # every 2**s is a float, at least 2**-1074
     for j in range(m + 1):
-        out[j : j + l + 1] += np.ldexp(sb * scaled[j], (ea[j] + eb - es[j : j + l + 1])[:, None])
-    return out / fs[:, None]
+        x, s = scaled[:, j : j + 1] * sb, ea[j] + eb - es[j : j + l + 1]
+        out[:, j : j + l + 1] += x * np.ldexp(1.0, s) if exact else np.ldexp(x, s)
+    return (out / fs).T
 
 
 def _intermediate_points(points: np.ndarray, w: np.ndarray) -> np.ndarray:

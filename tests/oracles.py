@@ -21,7 +21,9 @@ floats, and raises ValueError where one exceeds the float range
 (C(1030, 515) is the first).  So `exact_intermediate_points`, which uses
 no pair formula, is the independent check of those points.
 `exact_derivative_norm` gives |r'(t)| from the control data in exact
-rational arithmetic, rounded only at the end.
+rational arithmetic, rounded only at the end.  `ldexp_product` is the
+library's Bernstein product with np.ldexp applied to every coordinate,
+the bitwise reference for its power-of-two multiply.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from ratbez import RationalBezierCurve, eval_point
 from ratbez._kernels import decasteljau_grid
 from ratbez.curve import _check_ts
+from ratbez.derivative import _binomials
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -77,6 +80,22 @@ def elevation_product_coeffs(values, e: int) -> np.ndarray:
         for j in range(max(0, i - e), min(m, i) + 1):
             out[i] = out[i] + (pascal_binomial(m, j) * pascal_binomial(e, i - j) / denom) * arr[j]
     return out
+
+
+def ldexp_product(a, b) -> np.ndarray:
+    """The Bernstein product of the rows `a` and the scalars `b` with the
+    library's binomial mantissas and exponents, summed in the library's
+    order, but shifted by np.ldexp on every coordinate of a row-major
+    (m + l + 1, k) buffer: the bit-for-bit reference for
+    `derivative._product`, whose power-of-two multiply must round as
+    ldexp does."""
+    m, l = len(a) - 1, len(b) - 1
+    (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)
+    scaled, sb = fa[:, None] * a, (fb * b)[:, None]
+    out = np.zeros((m + l + 1, a.shape[1]))
+    for j in range(m + 1):
+        out[j : j + l + 1] += np.ldexp(sb * scaled[j], (ea[j] + eb - es[j : j + l + 1])[:, None])
+    return out / fs[:, None]
 
 
 def _common_integers(values):

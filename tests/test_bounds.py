@@ -247,14 +247,27 @@ def test_elevation_bound_past_the_float_range_raises():
 
 
 def test_elevation_bound_lifts_subnormal_forms():
-    # rows whose largest |entry| is below 1/2 are lifted by a power of two
-    # first, so the product's mantissas in [1/2, 1] round no weight to 0:
-    # the bound is max |N_i| / W_i read off the rows at every e
+    # the rows are lifted by a power of two first, their largest |entry|
+    # into [2^1021, 2^1022), so the product's mantissas in [1/2, 1] round
+    # no weight to 0: the bound is max |N_i| / W_i read off the rows at
+    # every e
     tiny = DerivativeForm([[5e-324, 5e-324]] * 3)
     assert bound_profile(tiny, [0, 10, 1000]) == [(0, 1.0), (10, 1.0), (1000, 1.0)]
     assert elevation_bound(tiny, 0) == 1.0
     mixed = DerivativeForm([[1e-300, 5e-324], [1e-300, 1e-300]])
     assert bound_profile(mixed, [0, 10, 1000]) == [(e, 2.0240225330731062e23) for e in (0, 10, 1000)]
+
+
+def test_elevation_bound_lifts_a_subnormal_row_beside_a_normal_one():
+    # the largest |entry| is 1, so a lift only of rows below 1/2 left the
+    # 5e-324 weight as it was, the mantissa 1/2 rounded it to 0 and the
+    # bound was refused; lifting every form takes it to 2^-53
+    form = DerivativeForm([[1.0, 1.0], [5e-324, 5e-324]])
+    peak = maximize_derivative_norm(form).max_value
+    assert peak == 1.0
+    for e in (0, 1, 2, 1000):
+        assert elevation_bound(form, e) == peak
+    assert bound_profile(form, [0, 1, 2, 1000]) == [(e, 1.0) for e in (0, 1, 2, 1000)]
 
 
 def test_elevation_bound_rejects_negative_steps():

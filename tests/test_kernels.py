@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratbez import build_derivative_form, counterexample_family
 from ratbez._kernels import _rowwise_norm, decasteljau_grid, hull_ratios, split
-from ratbez.derivative import _product
+from ratbez.derivative import _binomials, _product
 
-from oracles import basis_value
+from oracles import basis_value, ldexp_product
 
 
 def _random_coeffs(rng, rows, cols):
@@ -194,6 +196,96 @@ def test_elevate_layouts_and_dtypes():
         assert not np.shares_memory(out, coeffs)
         out[:] = 0.0
         assert np.array_equal(coeffs, before)
+
+
+def _bit_oracle_cases():
+    """(name, a, b) products for the bitwise oracle: family forms, the
+    squared weights of a wide weight set, rows spanning the float range,
+    and a large row beside small ones."""
+    family = {n: build_derivative_form(counterexample_family(n)).rows for n in (2, 11, 30, 200)}
+    for n in (2, 11, 30):
+        for e in (0, 1, 1000, 8000):
+            yield f"family {n}, e = {e}", family[n], np.ones(e + 1)
+    yield "family 200, e = 8000", family[200], np.ones(8001)
+    rng = np.random.default_rng(25)
+    w = np.exp2(rng.uniform(-500.0, 500.0, size=31))
+    yield "squared weights 2^+-500", w[:, None], w
+    for m, l in ((60, 1000), (600, 600)):
+        spread = rng.choice([-1.0, 1.0], size=(m + 1, 3)) * np.exp2(rng.uniform(-1074.0, 1000.0, size=(m + 1, 3)))
+        yield f"rows over 2^-1074..2^1000, m = {m}, l = {l}", spread, rng.uniform(0.5, 2.0, size=l + 1)
+    for m in (60, 200):
+        hazard = np.full((m + 1, 2), 2.0**-60)
+        hazard[0] = 2.0**1020, 1.0
+        yield f"row (2^1020, 1) beside rows 2^-60, m = {m}, e = 8000", hazard, np.ones(8001)
+    # es_m = 1077: row 0 meets 2**-1075 at output row l, where it is alone
+    lone = np.zeros((201, 1))
+    lone[0] = 2.0**1021
+    yield "row 2^1021 over zeros, m = 200, e = 3022", lone, np.ones(3023)
+
+
+@pytest.mark.parametrize("a, b", [pytest.param(a, b, id=name) for name, a, b in _bit_oracle_cases()])
+def test_product_matches_the_per_coordinate_ldexp_oracle_bit_for_bit(a, b):
+    # _product multiplies by one vector 2**s per row of `a` where
+    # C(m + l, m) <= 2^1073 (then every s >= -1074) and calls np.ldexp per
+    # coordinate past it: both arms give the oracle's bits
+    assert _same_bits(_product(a, b), ldexp_product(a, b))
+
+
+def test_bit_oracle_cases_cover_both_arms():
+    # the n = 200 family form and the m = 200 hazard at e = 8000, the
+    # m = l = 600 random rows and the lone row take the ldexp arm
+    # (C(m + l, m) > 2^1073), the rest the power-of-two multiply; the random
+    # rows give subnormal terms on both, and the lone row a shift of -1075
+    slow = [name for name, a, b in _bit_oracle_cases() if _binomials(len(a) + len(b) - 2)[1][len(a) - 1] > 1073]
+    assert slow == [
+        "family 200, e = 8000",
+        "rows over 2^-1074..2^1000, m = 600, l = 600",
+        "row (2^1020, 1) beside rows 2^-60, m = 200, e = 8000",
+        "row 2^1021 over zeros, m = 200, e = 3022",
+    ]
+    (_, ea), (_, eb), (_, es) = _binomials(200), _binomials(3022), _binomials(3222)
+    assert ea[0] + eb[3022] - es[3022] == -1075
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.builds(lambda sign, f, k: sign * math.ldexp(f, k),
+                          st.sampled_from([-1.0, 1.0]), st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024)),
+            ),
+            st.integers(-1074, 2),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(1.5, -1074), (0.5, -1074), (-0.75, -1074), (2.0**-1022, -1), (3.0 * 2.0**-1023, -2), (1.7e308, 2)])
+def test_multiplying_by_an_exact_power_of_two_rounds_as_ldexp(pairs):
+    # for -1074 <= s, 2.0**s is an exact float, so x * 2**s is the exact
+    # value rounded once, as np.ldexp(x, s) rounds it, also where the
+    # result is subnormal (ties to even at 2^-1075), 0 or inf
+    x = np.array([v for v, _ in pairs])
+    s = np.array([k for _, k in pairs], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        assert _same_bits(x * np.ldexp(1.0, s), np.ldexp(x, s))
+
+
+def test_every_product_shift_is_at_least_minus_es_m_minus_one():
+    # C(m, j) C(l, k) / C(m + l, j + k) = C(j + k, j) C(m + l - j - k, m - j)
+    # / C(m + l, m) >= 1 / C(m + l, m), and the mantissas lie in [1/2, 1],
+    # so every shift ea_j + eb_k - es_(j+k) lies in [-es_m - 1, 2]
+    rng = np.random.default_rng(26)
+    sizes = [(0, 0), (0, 2400), (2400, 0), (1, 1), (1200, 1200), (60, 2340)]
+    sizes += [(int(m), int(rng.integers(0, 2401 - m))) for m in rng.integers(0, 2401, size=14)]
+    for m, l in sizes:
+        (_, ea), (_, eb), (_, es) = _binomials(m), _binomials(l), _binomials(m + l)
+        j, k = np.ogrid[: m + 1, : l + 1]
+        shift = ea[j] + eb[k] - es[j + k]
+        assert shift.min() >= -es[m] - 1, (m, l)
+        assert shift.max() <= 2, (m, l)
 
 
 def _exact_norm(row):
