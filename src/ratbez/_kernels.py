@@ -11,7 +11,8 @@ must be finite returns through ``finite``, which raises ValueError where
 it is not; so a valid input gives a finite value or a ValueError, never
 a RuntimeWarning.  ``hull_ratios`` applies it for the maximizer and the
 elevation bound alike, and ``lift`` gives both the evaluator and the
-elevation bound one exact power-of-two scaling of homogeneous rows.
+elevation bound one exact power-of-two scaling of homogeneous rows, each
+to its own target.
 Degree elevation is no kernel: it is the Bernstein product with the
 constant 1, ``derivative._product``.  Norms are Euclidean throughout,
 from libm's hypot, which overflows only where the norm itself does.
@@ -30,11 +31,11 @@ def finite(values, what: str):
     return values
 
 
-def lift(rows: np.ndarray) -> np.ndarray:
+def lift(rows: np.ndarray, top: int) -> np.ndarray:
     """`rows` times the power of two that takes their largest |entry| into
-    [2^1021, 2^1022): exact, so it changes no ratio of two entries, and
-    every entry at least 2^-2043 times the largest comes out normal."""
-    return np.ldexp(rows, 1022 - np.frexp(np.abs(rows).max())[1])
+    [2^(top-1), 2^top): exact, so it changes no ratio of two entries, and
+    every entry at least 2^-(top+1021) times the largest comes out normal."""
+    return np.ldexp(rows, top - np.frexp(np.abs(rows).max())[1])
 
 
 def _rowwise_norm(rows: np.ndarray) -> np.ndarray:

@@ -64,15 +64,18 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     """(e, bound) at each step count of `e_list`, in its order, each e from
     its own product of the rows with e + 1 ones; ValueError (from
     `hull_ratios`) where the bound leaves the float range.  The rows are
-    first lifted as `curve._rational` lifts them (`lift`: the largest
-    |entry| into [2^1021, 2^1022)), which changes no ratio, so the
-    product's binomial mantissas in [1/2, 1] round no subnormal weight of a
-    form to 0, also beside a row near 1; the product's weights sum to 1
-    per row, so nothing overflows."""
+    first lifted (`lift`) so that their largest |entry| lies in
+    [2^(t-1), 2^t), t = 1022 - ceil(log2(c) / 2) for c point columns:
+    the lift changes no ratio, the product's binomial mantissas in [1/2, 1]
+    round no subnormal weight of a form to 0, also beside a row near 1,
+    and, as the product's weights sum to 1 per row, every elevated entry
+    stays below about 2^t, so the norm of a numerator row, at most
+    sqrt(c) times its largest entry, stays below about 2^1022."""
     steps = [_step_count(e) for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
-    rows = lift(form.rows)
+    c = form.rows.shape[1] - 1
+    rows = lift(form.rows, 1022 - ((c - 1).bit_length() + 1) // 2)
     out = []
     for e in steps:
         # a product past the float range is refused by hull_ratios, not warned about

@@ -40,8 +40,9 @@ def _rational(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     checked t in `ts`: one grid evaluation, one division; ValueError where
     a value leaves the float range.  The rows are first lifted (`lift`:
     their largest |entry| into [2^1021, 2^1022)), which is exact and leaves
-    the curve as it is, so subnormal rows evaluate too."""
-    h = decasteljau_grid(lift(rows), ts)
+    the curve as it is, so subnormal rows evaluate too; the division is
+    per coordinate, so no norm needs headroom."""
+    h = decasteljau_grid(lift(rows, 1022), ts)
     # a weight sum that underflows to 0 divides by zero: refused too
     with np.errstate(all="ignore"):
         return finite(h[:, :-1] / h[:, -1:], "a curve value")

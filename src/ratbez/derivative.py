@@ -128,7 +128,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact float, and x * 2**s rounds once, to the bits of np.ldexp(x, s).
     Larger products shift each coordinate with np.ldexp(x, s).  The rest
     of the cost is the binomial rows, each a Python loop over half the
-    row, now the larger part of an elevation.
+    row.
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)

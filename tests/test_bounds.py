@@ -259,15 +259,29 @@ def test_elevation_bound_lifts_subnormal_forms():
 
 
 def test_elevation_bound_lifts_a_subnormal_row_beside_a_normal_one():
-    # the largest |entry| is 1, so a lift only of rows below 1/2 left the
-    # 5e-324 weight as it was, the mantissa 1/2 rounded it to 0 and the
-    # bound was refused; lifting every form takes it to 2^-53
+    # every form is lifted, so the 5e-324 weight beside a row near 1 is
+    # normal before the product's mantissas in [1/2, 1] meet it
     form = DerivativeForm([[1.0, 1.0], [5e-324, 5e-324]])
     peak = maximize_derivative_norm(form).max_value
     assert peak == 1.0
     for e in (0, 1, 2, 1000):
         assert elevation_bound(form, e) == peak
     assert bound_profile(form, [0, 1, 2, 1000]) == [(e, 1.0) for e in (0, 1, 2, 1000)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20, 400])
+def test_elevation_bound_of_a_wide_form_leaves_headroom_for_its_norm(dim):
+    # the lift leaves room for the norm of a row of `dim` point columns, so
+    # a line whose bound is 1.9 sqrt(dim) reads that bound, not an overflow;
+    # its form's rows are equal, so at e = 1000 only rounding separates them
+    form = build_derivative_form(RationalBezierCurve([[0.0] * dim, [1.9] * dim], [1.0, 1.0]))
+    peak = maximize_derivative_norm(form).max_value
+    assert peak == pytest.approx(1.9 * np.sqrt(dim), rel=1e-15)
+    assert elevation_bound(form, 0) == peak
+    assert elevation_bound(form, 1000) == pytest.approx(peak, rel=1e-15)
+    # the largest entries may sit at the top of the float range
+    big = build_derivative_form(RationalBezierCurve([[0.0] * dim, [1e300] * dim], [1.0, 1.0]))
+    assert elevation_bound(big, 0) == maximize_derivative_norm(big).max_value
 
 
 def test_elevation_bound_rejects_negative_steps():
