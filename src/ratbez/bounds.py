@@ -108,7 +108,9 @@ def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     power-of-two vector (or, past C(m + e, m) > 2^1073, through np.ldexp
     per coordinate), plus the binomial rows of lengths e + 1 and
     m + e + 1, each a Python loop over half the row on integers of at
-    most about 192 bits.
+    most about 192 bits.  The binomial exponents are C ints, so every
+    np.ldexp takes numpy's C-int loop, 10-12 times faster than its int64
+    loop, with the same bits.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

@@ -71,8 +71,11 @@ class DerivativeForm:
 
 
 def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(m, i) for i = 0..m as mantissas f in [1/2, 1] and integer exponents e,
-    C(m, i) = f * 2**e, each f correctly rounded; no degree overflows.
+    """C(m, i) for i = 0..m as mantissas f in [1/2, 1] and C-int (np.intc)
+    exponents e, C(m, i) = f * 2**e, each f correctly rounded; no degree
+    overflows.  The exponents are C ints because numpy runs ldexp's C-int
+    loop ('di->d') 10-12 times faster than its int64 loop ('dl->d'), with
+    the same bits: about 4 against 44 us over 8001 exponents (numpy 2.4).
 
     The multiplicative recurrence runs over the first half of the row and
     carries integers lo <= hi and a shift s with lo * 2**s <= C(m, i) <=
@@ -92,21 +95,22 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(m // 2 + 1):
         k = hi.bit_length()
         f = float(lo)
-        if f == float(hi) and lo >> (k - 1):
-            fs.append(f / (1 << k))
+        if f == float(hi) and lo.bit_length() == k:
+            fs.append(math.ldexp(f, -k))
             es.append(k + s)
         else:
             c = math.comb(m, i)
             k = c.bit_length()
             fs.append(c / (1 << k))
             es.append(k)
-        lo = lo * (m - i) // (i + 1)
-        hi = -(-hi * (m - i) // (i + 1))
+        a, b = m - i, i + 1
+        lo = lo * a // b
+        hi = -(-hi * a // b)
         if hi >= top:
             cut = hi.bit_length() - _WIDTH
             lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
     rest = (m + 1) // 2  # C(m, i) = C(m, m - i) for the i past m // 2
-    return np.array(fs + fs[:rest][::-1]), np.array(es + es[:rest][::-1], dtype=np.int64)
+    return np.array(fs + fs[:rest][::-1]), np.array(es + es[:rest][::-1], dtype=np.intc)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,9 +130,11 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     C(m, j) C(l, k) / C(m+l, j+k) is at least 1 / C(m+l, m) >= 2**-es_m,
     so every s_k >= -es_m - 1, and while es_m <= 1073 each 2**s_k is an
     exact float, and x * 2**s rounds once, to the bits of np.ldexp(x, s).
-    Larger products shift each coordinate with np.ldexp(x, s).  The rest
-    of the cost is the binomial rows, each a Python loop over half the
-    row.
+    Larger products shift each coordinate with np.ldexp(x, s).  The
+    exponents are C ints (`_binomials`), so s is too, and either arm takes
+    numpy's fast ldexp loop: at e = 8000 a step spends about 4 us, not 44,
+    on np.ldexp(1.0, s).  The rest of the cost is the binomial rows, each
+    a Python loop over half the row.
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)

@@ -131,6 +131,26 @@ def test_elevation_takes_one_numpy_step_per_form_row(monkeypatch):
     assert len(calls) == len(rows) == 61
 
 
+def test_every_ldexp_exponent_is_a_c_int(monkeypatch):
+    # numpy runs ldexp's C-int loop ('di->d') many times faster than its
+    # int64 loop ('dl->d'), with the same bits, so every exponent array the
+    # form build and the product pass to np.ldexp is np.intc
+    for m in (0, 60, 8060):
+        assert _binomials(m)[1].dtype == np.intc
+    dtypes, ldexp = [], np.ldexp
+
+    def recording(x, s, *args, **kwargs):
+        dtypes.append(np.asarray(s).dtype)
+        return ldexp(x, s, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", recording)
+    rows = build_derivative_form(counterexample_family(30)).rows
+    built = len(dtypes)
+    _product(rows, np.ones(8001))
+    assert len(dtypes) > built > 0
+    assert all(dtype == np.intc for dtype in dtypes), set(dtypes)
+
+
 def test_product_with_one_keeps_the_rows():
     # _product(a, [1.0]) gives row j as fl(fl(f_j a_j) / f_j), f_j the
     # mantissa of C(m, j), and a one-row a times l + 1 ones gives row k as
@@ -266,11 +286,16 @@ def test_bit_oracle_cases_cover_both_arms():
 def test_multiplying_by_an_exact_power_of_two_rounds_as_ldexp(pairs):
     # for -1074 <= s, 2.0**s is an exact float, so x * 2**s is the exact
     # value rounded once, as np.ldexp(x, s) rounds it, also where the
-    # result is subnormal (ties to even at 2^-1075), 0 or inf
+    # result is subnormal (ties to even at 2^-1075), 0 or inf; ldexp's
+    # int64 and C-int loops give the same bits
     x = np.array([v for v, _ in pairs])
     s = np.array([k for _, k in pairs], dtype=np.int64)
     with np.errstate(all="ignore"):
-        assert _same_bits(x * np.ldexp(1.0, s), np.ldexp(x, s))
+        want = np.ldexp(x, s)
+        assert _same_bits(x * np.ldexp(1.0, s), want)
+        si = s.astype(np.intc)
+        assert _same_bits(x * np.ldexp(1.0, si), want)
+        assert _same_bits(np.ldexp(x, si), want)
 
 
 def test_every_product_shift_is_at_least_minus_es_m_minus_one():
