@@ -52,12 +52,12 @@ def conjecture_bound(curve: RationalBezierCurve) -> float:
     return finite(curve.degree * ratio * longest, "the conjectured bound")
 
 
-def _step_count(steps) -> int:
-    """`steps` as a Python int; ValueError unless it is a Python or numpy
-    integer (a bool or a float is refused, even 2.0)."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"step count must be an integer, got {steps!r}")
-    return int(steps)
+def _integer(value, what: str) -> int:
+    """`value` as a Python int; ValueError, naming `what`, unless it is a
+    Python or numpy integer (a bool or a float is refused, even 2.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
@@ -71,7 +71,7 @@ def _elevated(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     and, as the product's weights sum to 1 per row, every elevated entry
     stays below about 2^t, so the norm of a numerator row, at most
     sqrt(c) times its largest entry, stays below about 2^1022."""
-    steps = [_step_count(e) for e in e_list]
+    steps = [_integer(e, "step count") for e in e_list]
     if any(e < 0 for e in steps):
         raise ValueError("elevation step counts must be nonnegative")
     c = form.rows.shape[1] - 1
@@ -107,10 +107,11 @@ def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     each adding an (e + 1)-long slice of every coordinate row times one
     power-of-two vector (or, past C(m + e, m) > 2^1073, through np.ldexp
     per coordinate), plus the binomial rows of lengths e + 1 and
-    m + e + 1, each a Python loop over half the row on integers of at
-    most about 192 bits.  The binomial exponents are C ints, so every
-    np.ldexp takes numpy's C-int loop, 10-12 times faster than its int64
-    loop, with the same bits.
+    m + e + 1: from degree 640 (`derivative._SCAN_FROM`) up a vectorised
+    double-double scan of about log2(e) passes, below it a Python loop
+    over half the row on integers of at most about 192 bits.  The
+    binomial exponents are C ints, so every np.ldexp takes numpy's C-int
+    loop, 10-12 times faster than its int64 loop, with the same bits.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

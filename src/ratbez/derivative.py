@@ -23,6 +23,12 @@ from .curve import RationalBezierCurve, _check_ts, _rational
 
 # bits kept by the binomial enclosure in `_binomials`
 _WIDTH = 96
+# rows from this degree up take the double-double scan in `_binomials`;
+# at degree 600 scan and loop each take about 0.16 ms (numpy 2.4)
+_SCAN_FROM = 640
+# the relative error one ratio and one product add to an entry of the
+# scan (3u^2 and 9u^2, u = 2**-53)
+_SCAN_ERROR = 12 * 2.0 ** -106
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +83,35 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
     loop ('di->d') 10-12 times faster than its int64 loop ('dl->d'), with
     the same bits: about 4 against 44 us over 8001 exponents (numpy 2.4).
 
-    The multiplicative recurrence runs over the first half of the row and
-    carries integers lo <= hi and a shift s with lo * 2**s <= C(m, i) <=
-    hi * 2**s: lo rounds down and hi up at each step, and once hi passes
-    2 * _WIDTH bits both are cut back to _WIDTH bits, lo down and hi up.
-    Until the first cut lo = hi = C(m, i) exactly.  Rounding to a float is
-    monotone, so where float(lo) = float(hi) and both have k bits, that
-    float over 2**k is the correctly rounded mantissa and k + s the
-    exponent; elsewhere the exact math.comb(m, i) is rounded instead.  So
-    no integer grows past about 2 * _WIDTH bits, and the half row, kept
-    in lists, fills both ends of each array at once.
+    Both ways below give the bits of the exact integer c = C(m, i)
+    rounded, c / 2**k with k = c.bit_length() (so f = 1.0 where c rounds
+    up to 2**k), for the first half of the row, which fills both ends of
+    each array at once.  Rows from _SCAN_FROM up take `_scanned`, which is
+    vectorised; shorter rows, the form build's among them, take
+    `_enclosed`, a Python loop over the half row.
+    """
+    f, e = _scanned(m) if m >= _SCAN_FROM else _enclosed(m)
+    rest = (m + 1) // 2  # C(m, i) = C(m, m - i) for the i past m // 2
+    return np.concatenate((f, f[:rest][::-1])), np.concatenate((e, e[:rest][::-1]))
+
+
+def _rounded(c: int) -> tuple[float, int]:
+    """The exact integer c >= 1 as in `_binomials`: c / 2**k, correctly
+    rounded, and k = c.bit_length()."""
+    k = c.bit_length()
+    return c / (1 << k), k
+
+
+def _enclosed(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half row of `_binomials` from the multiplicative recurrence on
+    integers lo <= hi and a shift s with lo * 2**s <= C(m, i) <= hi * 2**s:
+    lo rounds down and hi up at each step, and once hi passes 2 * _WIDTH
+    bits both are cut back to _WIDTH bits, lo down and hi up.  Until the
+    first cut lo = hi = C(m, i) exactly.  Rounding to a float is monotone,
+    so where float(lo) = float(hi) and both have k bits, that float over
+    2**k is the correctly rounded mantissa and k + s the exponent;
+    elsewhere the exact math.comb(m, i) is rounded instead.  So no integer
+    grows past about 2 * _WIDTH bits.
     """
     top = 1 << 2 * _WIDTH
     fs, es = [], []
@@ -99,9 +124,8 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
             fs.append(math.ldexp(f, -k))
             es.append(k + s)
         else:
-            c = math.comb(m, i)
-            k = c.bit_length()
-            fs.append(c / (1 << k))
+            f, k = _rounded(math.comb(m, i))
+            fs.append(f)
             es.append(k)
         a, b = m - i, i + 1
         lo = lo * a // b
@@ -109,8 +133,79 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
         if hi >= top:
             cut = hi.bit_length() - _WIDTH
             lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
-    rest = (m + 1) // 2  # C(m, i) = C(m, m - i) for the i past m // 2
-    return np.array(fs + fs[:rest][::-1]), np.array(es + es[:rest][::-1], dtype=np.intc)
+    return np.array(fs), np.array(es, dtype=np.intc)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each float into x = hi + lo, halves of 26 bits."""
+    t = 134217729.0 * x  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(a, sa, b, sb) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product, a * b = p + e, from the splits sa, sb of a, b."""
+    p = a * b
+    (ah, al), (bh, bl) = sa, sb
+    return p, (((ah * bh - p) + ah * bl) + al * bh) + al * bl
+
+
+def _normalised(hi, lo, ex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Double-doubles (hi + lo) * 2**ex with hi in [1/2, 1), by exact
+    powers of two."""
+    f, k = np.frexp(hi)
+    return f, lo * (f / hi), ex + k
+
+
+def _scanned(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half row of `_binomials` from a prefix product of double-doubles.
+
+    The ratios (m - u) / (u + 1), u = 0..m // 2 - 1, are each a quotient
+    q and its remainder over the divisor, within 3u^2 relative (u =
+    2**-53), with mantissas in [1/2, 1) and exponents kept apart.  Hillis
+    and Steele's inclusive scan multiplies entry i by entry i - d for
+    d = 1, 2, 4, ..., one vectorised double-double product per pass
+    (Dekker's, no FMA), each within 9u^2 relative, so after
+    ceil(log2 h) passes entry i, i ratios and i products, holds C(m, i)
+    as (hi + lo) * 2**ex within (1 + _SCAN_ERROR)**i - 1 < 2 delta_i
+    relative, delta_i = i * _SCAN_ERROR.  Every eighth pass and at the
+    end the mantissas go back to [1/2, 1), so none falls below 2**-256.
+    Where |lo| + 2 delta_i stays below the half-gap 2**-54 around hi,
+    C(m, i) rounds to hi as hi + lo does.  Elsewhere, and where hi = 1/2
+    (C(m, i) may round up to a power of two), the exact math.comb(m, i)
+    is rounded instead.  The first entries, while C(m, i) <
+    2**(54 + m.bit_length()), come from the exact integer recurrence: by
+    Kummer's theorem no power of two past 2**(m.bit_length() - 1)
+    divides C(m, i), so only these can be halfway cases, which no error
+    bound settles.
+    """
+    h = m // 2 + 1
+    b = np.arange(1.0, h)
+    a = m + 1.0 - b
+    q = a / b
+    p, e = _two_product(q, _split(q), b, _split(b))
+    hi, lo, ex = np.ones(h), np.zeros(h), np.zeros(h, dtype=np.intc)
+    hi[1:], lo[1:], ex[1:] = _normalised(q, ((a - p) - e) / b, 0)
+    for n in range((h - 1).bit_length()):
+        x, y = slice(1 << n, None), slice(None, h - (1 << n))
+        sh, sl = _split(hi)
+        p, e = _two_product(hi[x], (sh[x], sl[x]), hi[y], (sh[y], sl[y]))
+        e += hi[x] * lo[y] + lo[x] * hi[y]
+        hi[x] = s = p + e
+        lo[x], ex[x] = e - (s - p), ex[x] + ex[y]
+        if n % 8 == 7:
+            hi, lo, ex = _normalised(hi, lo, ex)
+    f, lo, ex = _normalised(hi, lo, ex)
+    settled = (f != 0.5) & (np.abs(lo) + np.arange(h) * (2 * _SCAN_ERROR) < 2.0 ** -54)
+    c, i, top = 1, 0, 1 << (54 + m.bit_length())
+    while i < h and c < top:
+        f[i], ex[i] = _rounded(c)
+        settled[i] = True
+        c = c * (m - i) // (i + 1)
+        i += 1
+    for i in np.flatnonzero(~settled).tolist():
+        f[i], ex[i] = _rounded(math.comb(m, i))
+    return f, ex
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,8 +228,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Larger products shift each coordinate with np.ldexp(x, s).  The
     exponents are C ints (`_binomials`), so s is too, and either arm takes
     numpy's fast ldexp loop: at e = 8000 a step spends about 4 us, not 44,
-    on np.ldexp(1.0, s).  The rest of the cost is the binomial rows, each
-    a Python loop over half the row.
+    on np.ldexp(1.0, s).  The rest of the cost is the three binomial
+    rows; at e = 8000 each takes about a dozen vectorised passes of a
+    double-double scan (`_binomials`).
     """
     m, l = len(a) - 1, len(b) - 1
     (fa, ea), (fb, eb), (fs, es) = _binomials(m), _binomials(l), _binomials(m + l)

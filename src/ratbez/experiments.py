@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .bounds import conjecture_bound, elevation_bound
+from .bounds import _integer, conjecture_bound, elevation_bound
 from .curve import RationalBezierCurve
 from .derivative import build_derivative_form
 from .maximize import maximize_derivative_norm
@@ -68,8 +68,10 @@ def counterexample_family(n: int) -> RationalBezierCurve:
     """Degree-n member of the bound-violating family (needs n >= 2).
 
     Points (0,0), (1,0), ..., (n,0); weights 2^0, 2^-1, ..., 2^-(n-1)
-    with the final weight raised to 2^-(n-2).
+    with the final weight raised to 2^-(n-2).  Raises ValueError unless n
+    is a Python or numpy integer of at least 2.
     """
+    n = _integer(n, "degree")
     if n < 2:
         raise ValueError("family members need degree at least 2")
     weights = [2.0 ** -i for i in range(n)] + [2.0 ** -(n - 2)]
@@ -93,7 +95,7 @@ def table1_row(n: int, e: int = 1000) -> Table1Row:
     runtime = time.perf_counter() - start
     verdict = "violated" if conj - peak.max_value < 0.0 else "holds"
     return Table1Row(
-        degree=n,
+        degree=curve.degree,
         max_first_derivative=peak.max_value,
         argmax_t=peak.argmax_t,
         conjectured_bound=conj,
@@ -108,8 +110,10 @@ def run_table1(n_min: int = 2, n_max: int = 20, e: int = 1000) -> list[Table1Row
     """Comparison rows for every degree in [n_min, n_max].
 
     Forms build through n = 1016; past it a row fails with ValueError,
-    which names the degree.
+    which names the degree.  Raises ValueError unless both ends are
+    Python or numpy integers with 2 <= n_min <= n_max.
     """
+    n_min, n_max = _integer(n_min, "degree"), _integer(n_max, "degree")
     if not 2 <= n_min <= n_max:
         raise ValueError(f"degree range must satisfy 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     rows = []

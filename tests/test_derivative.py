@@ -151,11 +151,12 @@ def test_binomials_stay_small_at_degree_8060():
     assert np.array_equal(f, f[::-1]) and np.array_equal(e, e[::-1])
 
 
-def _assert_rounded_as_exact(m, rng):
-    # at both ends, the centre and random i: the mantissa of C(m, i) is
-    # the exact integer over 2^k, correctly rounded, and the exponent is k
+def _assert_rounded_as_exact(m, rng, indices=()):
+    # at both ends, the centre, `indices` and random i: the mantissa of
+    # C(m, i) is the exact integer over 2^k, correctly rounded, and the
+    # exponent is k
     f, e = _binomials(m)
-    for i in {0, 1, m // 2, (m + 1) // 2, m - 1, m, *rng.integers(0, m + 1, size=8).tolist()}:
+    for i in {0, 1, m // 2, (m + 1) // 2, m - 1, m, *indices, *rng.integers(0, m + 1, size=8).tolist()}:
         c = math.comb(m, i)
         k = c.bit_length()
         assert f[i] == c / (1 << k) and e[i] == k, (m, i)
@@ -186,6 +187,51 @@ def test_binomials_narrow_enclosure_falls_back_to_exact_integers(monkeypatch):
         assert np.array_equal(e, [c.bit_length() for c in row])
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     assert any(m < 301 for m in calls)
+
+
+def test_binomials_scan_falls_back_to_exact_integers(monkeypatch):
+    # the twin of the narrow-enclosure test, whose rows 1030 and 2047 now
+    # take the scan: with an error bound that settles no entry, every entry
+    # past the exact first ones is math.comb's, and the rows are still the
+    # exact roundings bit for bit
+    monkeypatch.setattr(derivative, "_SCAN_ERROR", 1.0)
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda m, i: calls.append(m) or comb(m, i))
+    for m in (1030, 2047):
+        row = _exact_binomials(m)
+        f, e = _binomials(m)
+        assert np.array_equal(f, [c / (1 << c.bit_length()) for c in row])
+        assert np.array_equal(e, [c.bit_length() for c in row])
+    assert set(calls) == {1030, 2047}
+
+
+def test_binomials_scan_matches_the_enclosure_on_short_rows(monkeypatch):
+    # rows of 1 to 301 entries through the scan, the one-entry rows and the
+    # exact first entries among them, give the enclosure's arrays
+    want = [_binomials(m) for m in range(301)]
+    monkeypatch.setattr(derivative, "_SCAN_FROM", 0)
+    for m, (f, e) in enumerate(want):
+        got_f, got_e = _binomials(m)
+        assert got_f.dtype == f.dtype and got_e.dtype == e.dtype == np.intc
+        assert np.array_equal(got_f, f) and np.array_equal(got_e, e), m
+
+
+# rows next to powers of two, where Kummer's theorem allows the most
+# trailing zeros, and rows with exact halfway cases at i = 5..7
+_HARD_ROWS = [2**k + d for k in range(10, 15) for d in (-1, 0, 1)] + [1008, 2000, 2048, 8016]
+
+
+def test_binomials_hard_rows_round_as_the_exact_integers():
+    rng = np.random.default_rng(27)
+    for m in _HARD_ROWS:
+        _assert_rounded_as_exact(m, rng, [*range(65), *rng.integers(0, m + 1, size=24).tolist()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=800, max_value=20011), st.integers(min_value=0, max_value=2**32 - 1))
+def test_binomials_scanned_rows_round_as_the_exact_integers(m, seed):
+    _assert_rounded_as_exact(m, np.random.default_rng(seed), range(65))
 
 
 def test_benchmark_rows_need_no_exact_integer(monkeypatch):

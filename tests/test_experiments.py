@@ -74,6 +74,21 @@ def test_run_table1_range_validation():
         run_table1(1017, 1017, e=0)
 
 
+def test_degrees_must_be_integers():
+    # a float degree, even 5.0, or a bool is refused with ValueError, as a
+    # step count is; numpy integers are taken as the ints they hold
+    for call in (lambda: counterexample_family(5.0), lambda: counterexample_family(True),
+                 lambda: table1_row(5.0), lambda: run_table1(2.5, 3), lambda: run_table1(2, 3.0)):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            call()
+    curve = counterexample_family(np.int64(5))
+    assert np.array_equal(curve.points, counterexample_family(5).points)
+    assert np.array_equal(curve.weights, counterexample_family(5).weights)
+    row = table1_row(np.int32(3), e=50)
+    assert type(row.degree) is int and row.degree == 3
+    assert [r.degree for r in run_table1(np.int64(2), np.int16(3), e=0)] == [2, 3]
+
+
 def test_run_table1_lets_programming_errors_through(monkeypatch):
     # only bad input (ValueError) is reworded; any other error is a fault
     # in the program and reaches the caller as it was raised
