@@ -3,16 +3,16 @@ subdivision at t = 1/2, and the convex-hull scan of norm over weight.
 
 Each kernel is one vectorized numpy body.  The kernels check no
 argument: the public functions that call them validate every argument
-once.  ``decasteljau_grid`` coerces its arrays to float64 first; ``split``
-and ``hull_ratios`` take the callers' float arrays as they are.  The
-package's one float-range rule lives here: arithmetic that may leave the
-float range runs under ``np.errstate(all="ignore")``, and a result that
-must be finite returns through ``finite``, which raises ValueError where
-it is not; so a valid input gives a finite value or a ValueError, never
-a RuntimeWarning.  ``hull_ratios`` applies it for the maximizer and the
-elevation bound alike, and ``lift`` gives both the evaluator and the
-elevation bound one exact power-of-two scaling of homogeneous rows, each
-to its own target.
+once.  ``decasteljau_grid`` coerces its arrays to float64 first; the
+``halve`` that ``halver`` returns and ``hull_ratios`` take the callers'
+float arrays as they are.  The package's one float-range rule lives
+here: arithmetic that may leave the float range runs under
+``np.errstate(all="ignore")``, and a result that must be finite returns
+through ``finite``, which raises ValueError where it is not; so a valid
+input gives a finite value or a ValueError, never a RuntimeWarning.
+``hull_ratios`` applies it for the maximizer and the elevation bound
+alike, and ``lift`` gives both the evaluator and the elevation bound one
+exact power-of-two scaling of homogeneous rows, each to its own target.
 Degree elevation is no kernel: it is the Bernstein product with the
 constant 1, ``derivative._product``.  Norms are Euclidean throughout,
 from libm's hypot, which overflows only where the norm itself does.
@@ -70,20 +70,31 @@ def decasteljau_grid(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def split(coeffs: np.ndarray):
-    """De Casteljau at t = 1/2: the coefficient rows of both halves, each
-    reparametrized to [0, 1]; they share the row at t = 1/2."""
-    m1 = coeffs.shape[0]
-    left = np.empty_like(coeffs)
-    right = np.empty_like(coeffs)
-    b = coeffs
-    left[0], right[-1] = b[0], b[-1]
-    for r in range(1, m1):
-        # halve before adding: two rows near the float maximum sum past it
-        h = 0.5 * b
-        b = h[:-1] + h[1:]
-        left[r], right[m1 - 1 - r] = b[0], b[-1]
-    return left, right
+def halver(m1: int, c: int):
+    """`halve(piece)` for pieces of shape (m1, c): de Casteljau at t = 1/2.
+
+    It returns both halves, each reparametrized to [0, 1], as one new
+    (2 m1, c) array, the left half's rows over the right's; they share
+    the row at t = 1/2.  One level buffer holds the piece and its
+    reversal side by side; level r of the recurrence overwrites rows r..,
+    so row r keeps the left half's row r, and the reversal's the right
+    half's rows in reverse (IEEE addition commutes).  The buffers and
+    every level's views are made here, once per halver.
+    """
+    level, halved = np.empty((m1, 2 * c)), np.empty((m1, 2 * c))
+    left, right = level[:, :c], level[::-1, c:]
+    steps = [(level[r - 1:], halved[r - 1:], halved[r - 1:-1], halved[r:], level[r:]) for r in range(1, m1)]
+
+    def halve(piece: np.ndarray) -> np.ndarray:
+        left[...] = piece
+        right[...] = piece
+        for rows, h, lo, hi, out in steps:
+            # halve before adding: two rows near the float maximum sum past it
+            np.multiply(rows, 0.5, out=h)
+            np.add(lo, hi, out=out)
+        return np.concatenate((left, right))
+
+    return halve
 
 
 def hull_ratios(rows: np.ndarray) -> np.ndarray:

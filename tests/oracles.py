@@ -23,7 +23,9 @@ no pair formula, is the independent check of those points.
 `exact_derivative_norm` gives |r'(t)| from the control data in exact
 rational arithmetic, rounded only at the end.  `ldexp_product` is the
 library's Bernstein product with np.ldexp applied to every coordinate,
-the bitwise reference for its power-of-two multiply.
+the bitwise reference for its power-of-two multiply.  `split` is the
+level-by-level halving at t = 1/2 that the maximizer ran before
+`_kernels.halver`, the bit-for-bit reference for it.
 """
 
 from __future__ import annotations
@@ -96,6 +98,23 @@ def ldexp_product(a, b) -> np.ndarray:
     for j in range(m + 1):
         out[j : j + l + 1] += np.ldexp(sb * scaled[j], (ea[j] + eb - es[j : j + l + 1])[:, None])
     return out / fs[:, None]
+
+
+def split(coeffs: np.ndarray):
+    """De Casteljau at t = 1/2, one new array per level: the coefficient
+    rows of both halves, each reparametrized to [0, 1]; they share the
+    row at t = 1/2."""
+    m1 = coeffs.shape[0]
+    left = np.empty_like(coeffs)
+    right = np.empty_like(coeffs)
+    b = coeffs
+    left[0], right[-1] = b[0], b[-1]
+    for r in range(1, m1):
+        # halve before adding: two rows near the float maximum sum past it
+        h = 0.5 * b
+        b = h[:-1] + h[1:]
+        left[r], right[m1 - 1 - r] = b[0], b[-1]
+    return left, right
 
 
 def _common_integers(values):

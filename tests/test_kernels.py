@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratbez import build_derivative_form, counterexample_family
-from ratbez._kernels import _rowwise_norm, decasteljau_grid, hull_ratios, split
+from ratbez._kernels import _rowwise_norm, decasteljau_grid, halver, hull_ratios
 from ratbez.derivative import _binomials, _product
 
-from oracles import basis_value, ldexp_product
+from oracles import basis_value, ldexp_product, split
 
 
 def _random_coeffs(rng, rows, cols):
@@ -380,7 +380,9 @@ def test_split_halves_reproduce_the_coefficients():
     rng = np.random.default_rng(15)
     for rows, cols in [(1, 2), (2, 1), (9, 3), (41, 4)]:
         coeffs = _random_coeffs(rng, rows, cols)
-        left, right = split(coeffs)
+        both = halver(rows, cols)(coeffs)
+        left, right = both[:rows], both[rows:]
+        assert both.shape == (2 * rows, cols)
         assert np.array_equal(left[0], coeffs[0])
         assert np.array_equal(right[-1], coeffs[-1])
         assert np.array_equal(left[-1], right[0])
@@ -388,3 +390,38 @@ def test_split_halves_reproduce_the_coefficients():
         whole = decasteljau_grid(coeffs, np.concatenate([s / 2.0, (1.0 + s) / 2.0]))
         halves = np.vstack([decasteljau_grid(left, s), decasteljau_grid(right, s)])
         assert np.allclose(halves, whole, rtol=1e-12, atol=1e-12)
+
+
+def _assert_halves_as_split(pieces):
+    # one halver per shape, reused: each result is the level-by-level
+    # split bit for bit (signed zeros included), and a later call
+    # overwrites none of the earlier results
+    halve = halver(*pieces[0].shape)
+    results = [halve(piece) for piece in pieces]
+    for piece, got in zip(pieces, results):
+        want = np.concatenate(split(piece))
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_halver_matches_split_bit_for_bit_on_random_shapes():
+    rng = np.random.default_rng(29)
+    for rows in range(1, 42):
+        for cols in range(1, 6):
+            # entries spread over 2^+-40, some signs flipped
+            pieces = [rng.uniform(-5.0, 5.0, size=(rows, cols))
+                      * np.ldexp(1.0, rng.integers(-40, 41, size=(rows, cols))) for _ in range(3)]
+            _assert_halves_as_split(pieces)
+
+
+def test_halver_matches_split_bit_for_bit_at_the_ends_of_the_float_range():
+    rng = np.random.default_rng(30)
+    for rows, cols in [(1, 3), (2, 2), (7, 3), (23, 4), (41, 5)]:
+        signs = rng.choice([-1.0, 1.0], size=(3, rows, cols))
+        # near the float maximum: a sum of two rows overflows, their halves do not
+        _assert_halves_as_split(list(signs * rng.uniform(1.0e308, 1.7976e308, size=(3, rows, cols))))
+        # subnormal rows: every halving rounds, some to zero
+        _assert_halves_as_split(list(signs * np.ldexp(rng.integers(0, 2 ** 52, size=(3, rows, cols)), -1074)))
+        # signed zeros alone, and beside the smallest subnormals
+        _assert_halves_as_split(list(signs * 0.0))
+        _assert_halves_as_split(list(signs * rng.choice([0.0, 5e-324, 1e-323], size=(3, rows, cols))))

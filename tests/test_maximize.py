@@ -1,5 +1,7 @@
 """Branch-and-bound maximization of the derivative magnitude."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,11 @@ from ratbez import (
     eval_derivative_explicit_many,
     maximize_derivative_norm,
 )
+import ratbez.maximize as maximize
 from ratbez._kernels import decasteljau_grid
 from ratbez.derivative import _product
 
-from oracles import exact_derivative_norm, random_curve, sederberg_terms
+from oracles import exact_derivative_norm, random_curve, sederberg_terms, split
 
 
 def test_constant_derivative_line():
@@ -273,3 +276,31 @@ def test_curve_and_its_form_give_equal_results():
     for curve in curves:
         form = build_derivative_form(curve)
         assert maximize_derivative_norm(form) == maximize_derivative_norm(curve)
+
+
+def _split_halver(m1, c):
+    """A halver from the level-by-level split the maximizer ran before
+    `_kernels.halver`: both halves as one (2 m1, c) array."""
+    return lambda piece: np.concatenate(split(piece))
+
+
+def test_halver_gives_the_results_of_the_level_by_level_split(monkeypatch, corpus):
+    forms = [build_derivative_form(counterexample_family(n)) for n in [*range(2, 61), 300, 514]]
+    forms += [build_derivative_form(curve) for curve, _ in corpus]
+    results = [maximize_derivative_norm(form) for form in forms]
+    monkeypatch.setattr(maximize, "halver", _split_halver)
+    assert [maximize_derivative_norm(form) for form in forms] == results
+
+
+def test_one_call_takes_memory_linear_in_the_rows():
+    # the n = 600 form is 1201 rows of 3 columns (29 KB); the halver's
+    # buffers and per-level views take about 2.3 MB in all, where the
+    # m x m triangle of every level kept at once would take about 35 MB
+    form = build_derivative_form(counterexample_family(600))
+    tracemalloc.start()
+    try:
+        maximize_derivative_norm(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
