@@ -107,11 +107,11 @@ def bound_profile(form: DerivativeForm, e_list) -> list[tuple[int, float]]:
     each adding an (e + 1)-long slice of every coordinate row times one
     power-of-two vector (or, past C(m + e, m) > 2^1073, through np.ldexp
     per coordinate), plus the binomial rows of lengths e + 1 and
-    m + e + 1: from degree 640 (`derivative._SCAN_FROM`) up a vectorised
-    double-double scan of about log2(e) passes, below it a Python loop
-    over half the row on integers of at most about 192 bits.  The
-    binomial exponents are C ints, so every np.ldexp takes numpy's C-int
-    loop, 10-12 times faster than its int64 loop, with the same bits.
+    m + e + 1: the exact integer recurrence for their first entries (all
+    of them through degree 64), then a vectorised double-double scan of
+    about log2(e) passes.  The binomial exponents are C ints, so every
+    np.ldexp takes numpy's C-int loop, 10-12 times faster than its int64
+    loop, with the same bits.
     Raises ValueError unless every entry is a nonnegative integer, and
     where a bound leaves the float range.
     """

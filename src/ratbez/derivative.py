@@ -21,11 +21,6 @@ import numpy as np
 
 from .curve import RationalBezierCurve, _check_ts, _rational
 
-# bits kept by the binomial enclosure in `_binomials`
-_WIDTH = 96
-# rows from this degree up take the double-double scan in `_binomials`;
-# at degree 600 scan and loop each take about 0.16 ms (numpy 2.4)
-_SCAN_FROM = 640
 # the relative error one ratio and one product add to an entry of the
 # scan (3u^2 and 9u^2, u = 2**-53)
 _SCAN_ERROR = 12 * 2.0 ** -106
@@ -83,14 +78,12 @@ def _binomials(m: int) -> tuple[np.ndarray, np.ndarray]:
     loop ('di->d') 10-12 times faster than its int64 loop ('dl->d'), with
     the same bits: about 4 against 44 us over 8001 exponents (numpy 2.4).
 
-    Both ways below give the bits of the exact integer c = C(m, i)
-    rounded, c / 2**k with k = c.bit_length() (so f = 1.0 where c rounds
-    up to 2**k), for the first half of the row, which fills both ends of
-    each array at once.  Rows from _SCAN_FROM up take `_scanned`, which is
-    vectorised; shorter rows, the form build's among them, take
-    `_enclosed`, a Python loop over the half row.
+    `_half_row` gives the bits of the exact integer c = C(m, i) rounded,
+    c / 2**k with k = c.bit_length() (so f = 1.0 where c rounds up to
+    2**k), for the first half of the row, which fills both ends of each
+    array at once.
     """
-    f, e = _scanned(m) if m >= _SCAN_FROM else _enclosed(m)
+    f, e = _half_row(m)
     rest = (m + 1) // 2  # C(m, i) = C(m, m - i) for the i past m // 2
     return np.concatenate((f, f[:rest][::-1])), np.concatenate((e, e[:rest][::-1]))
 
@@ -100,40 +93,6 @@ def _rounded(c: int) -> tuple[float, int]:
     rounded, and k = c.bit_length()."""
     k = c.bit_length()
     return c / (1 << k), k
-
-
-def _enclosed(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The half row of `_binomials` from the multiplicative recurrence on
-    integers lo <= hi and a shift s with lo * 2**s <= C(m, i) <= hi * 2**s:
-    lo rounds down and hi up at each step, and once hi passes 2 * _WIDTH
-    bits both are cut back to _WIDTH bits, lo down and hi up.  Until the
-    first cut lo = hi = C(m, i) exactly.  Rounding to a float is monotone,
-    so where float(lo) = float(hi) and both have k bits, that float over
-    2**k is the correctly rounded mantissa and k + s the exponent;
-    elsewhere the exact math.comb(m, i) is rounded instead.  So no integer
-    grows past about 2 * _WIDTH bits.
-    """
-    top = 1 << 2 * _WIDTH
-    fs, es = [], []
-    lo = hi = 1
-    s = 0
-    for i in range(m // 2 + 1):
-        k = hi.bit_length()
-        f = float(lo)
-        if f == float(hi) and lo.bit_length() == k:
-            fs.append(math.ldexp(f, -k))
-            es.append(k + s)
-        else:
-            f, k = _rounded(math.comb(m, i))
-            fs.append(f)
-            es.append(k)
-        a, b = m - i, i + 1
-        lo = lo * a // b
-        hi = -(-hi * a // b)
-        if hi >= top:
-            cut = hi.bit_length() - _WIDTH
-            lo, hi, s = lo >> cut, -(-hi >> cut), s + cut
-    return np.array(fs), np.array(es, dtype=np.intc)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,53 +116,58 @@ def _normalised(hi, lo, ex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, lo * (f / hi), ex + k
 
 
-def _scanned(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The half row of `_binomials` from a prefix product of double-doubles.
+def _half_row(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half row i = 0..m // 2 of `_binomials`.
 
-    The ratios (m - u) / (u + 1), u = 0..m // 2 - 1, are each a quotient
-    q and its remainder over the divisor, within 3u^2 relative (u =
-    2**-53), with mantissas in [1/2, 1) and exponents kept apart.  Hillis
-    and Steele's inclusive scan multiplies entry i by entry i - d for
-    d = 1, 2, 4, ..., one vectorised double-double product per pass
-    (Dekker's, no FMA), each within 9u^2 relative, so after
-    ceil(log2 h) passes entry i, i ratios and i products, holds C(m, i)
-    as (hi + lo) * 2**ex within (1 + _SCAN_ERROR)**i - 1 < 2 delta_i
-    relative, delta_i = i * _SCAN_ERROR.  Every eighth pass and at the
-    end the mantissas go back to [1/2, 1), so none falls below 2**-256.
-    Where |lo| + 2 delta_i stays below the half-gap 2**-54 around hi,
-    C(m, i) rounds to hi as hi + lo does.  Elsewhere, and where hi = 1/2
-    (C(m, i) may round up to a power of two), the exact math.comb(m, i)
-    is rounded instead.  The first entries, while C(m, i) <
-    2**(54 + m.bit_length()), come from the exact integer recurrence: by
-    Kummer's theorem no power of two past 2**(m.bit_length() - 1)
-    divides C(m, i), so only these can be halfway cases, which no error
-    bound settles.
+    The first entries, while C(m, i) < 2**(54 + m.bit_length()), come from
+    the exact integer recurrence: by Kummer's theorem no power of two past
+    2**(m.bit_length() - 1) divides C(m, i), so only these can be halfway
+    cases, which no error bound settles.  Through m = 64 they are the
+    whole half row, and the scan below does not run.
+
+    The rest come from a prefix product of double-doubles.  The ratios
+    (m - u) / (u + 1), u = 0..m // 2 - 1, are each a quotient q and its
+    remainder over the divisor, within 3u^2 relative (u = 2**-53), with
+    mantissas in [1/2, 1) and exponents kept apart.  Hillis and Steele's
+    inclusive scan multiplies entry i by entry i - d for d = 1, 2, 4, ...,
+    one vectorised double-double product per pass (Dekker's, no FMA),
+    each within 9u^2 relative, so after ceil(log2 h) passes entry i, i
+    ratios and i products, holds C(m, i) as (hi + lo) * 2**ex within
+    (1 + _SCAN_ERROR)**i - 1 < 2 delta_i relative, delta_i = i *
+    _SCAN_ERROR.  Every eighth pass and at the end the mantissas go back
+    to [1/2, 1), so none falls below 2**-256.  Where |lo| + 2 delta_i
+    stays below the half-gap 2**-54 around hi, C(m, i) rounds to hi as
+    hi + lo does.  Elsewhere, and where hi = 1/2 (C(m, i) may round up to
+    a power of two), the exact math.comb(m, i) is rounded instead.
     """
     h = m // 2 + 1
+    f, ex = np.empty(h), np.empty(h, dtype=np.intc)
+    c, head, top = 1, 0, 1 << (54 + m.bit_length())
+    while head < h and c < top:
+        f[head], ex[head] = _rounded(c)
+        c = c * (m - head) // (head + 1)
+        head += 1
+    if head == h:
+        return f, ex
     b = np.arange(1.0, h)
     a = m + 1.0 - b
     q = a / b
     p, e = _two_product(q, _split(q), b, _split(b))
-    hi, lo, ex = np.ones(h), np.zeros(h), np.zeros(h, dtype=np.intc)
-    hi[1:], lo[1:], ex[1:] = _normalised(q, ((a - p) - e) / b, 0)
+    hi, lo, exs = np.ones(h), np.zeros(h), np.zeros(h, dtype=np.intc)
+    hi[1:], lo[1:], exs[1:] = _normalised(q, ((a - p) - e) / b, 0)
     for n in range((h - 1).bit_length()):
         x, y = slice(1 << n, None), slice(None, h - (1 << n))
         sh, sl = _split(hi)
         p, e = _two_product(hi[x], (sh[x], sl[x]), hi[y], (sh[y], sl[y]))
         e += hi[x] * lo[y] + lo[x] * hi[y]
         hi[x] = s = p + e
-        lo[x], ex[x] = e - (s - p), ex[x] + ex[y]
+        lo[x], exs[x] = e - (s - p), exs[x] + exs[y]
         if n % 8 == 7:
-            hi, lo, ex = _normalised(hi, lo, ex)
-    f, lo, ex = _normalised(hi, lo, ex)
-    settled = (f != 0.5) & (np.abs(lo) + np.arange(h) * (2 * _SCAN_ERROR) < 2.0 ** -54)
-    c, i, top = 1, 0, 1 << (54 + m.bit_length())
-    while i < h and c < top:
-        f[i], ex[i] = _rounded(c)
-        settled[i] = True
-        c = c * (m - i) // (i + 1)
-        i += 1
-    for i in np.flatnonzero(~settled).tolist():
+            hi, lo, exs = _normalised(hi, lo, exs)
+    hi, lo, exs = _normalised(hi, lo, exs)
+    f[head:], ex[head:] = hi[head:], exs[head:]
+    settled = (hi != 0.5) & (np.abs(lo) + np.arange(h) * (2 * _SCAN_ERROR) < 2.0 ** -54)
+    for i in (head + np.flatnonzero(~settled[head:])).tolist():
         f[i], ex[i] = _rounded(math.comb(m, i))
     return f, ex
 

@@ -133,6 +133,7 @@ def test_binomials_match_exact_integers_through_degree_1029():
     row = [1]  # Pascal's row m, grown by additions
     for m in range(1030):
         f, e = _binomials(m)
+        assert f.dtype == np.float64 and e.dtype == np.intc
         assert ((f >= 0.5) & (f <= 1.0)).all()
         assert np.array_equal(np.ldexp(f, e), [float(c) for c in row])
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
@@ -163,58 +164,44 @@ def _assert_rounded_as_exact(m, rng, indices=()):
 
 
 def test_binomials_enclosure_rounds_as_the_exact_integers():
-    # past 2 * _WIDTH bits the row is carried as an integer enclosure
+    # past the exact head each entry is a double-double held within the
+    # scan's error bound, an enclosure of the exact integer
     rng = np.random.default_rng(24)
     for m in (1030, 2047, 8060, 20011):
         _assert_rounded_as_exact(m, rng)
 
 
-def test_binomials_narrow_enclosure_falls_back_to_exact_integers(monkeypatch):
-    # an 8-bit enclosure settles few roundings, so the exact branch runs
-    # often, and every row is still the same bit for bit (rows past 2047
-    # would take seconds of math.comb calls)
-    monkeypatch.setattr(derivative, "_WIDTH", 8)
-    calls = []
-    comb = math.comb
-    monkeypatch.setattr(math, "comb", lambda m, i: calls.append(m) or comb(m, i))
-    rng = np.random.default_rng(8)
-    for m in (1030, 2047):
-        _assert_rounded_as_exact(m, rng)
-    row = [1]  # Pascal's row m, grown by additions
-    for m in range(301):
-        f, e = _binomials(m)
-        assert np.array_equal(f, [c / (1 << c.bit_length()) for c in row])
-        assert np.array_equal(e, [c.bit_length() for c in row])
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    assert any(m < 301 for m in calls)
-
-
 def test_binomials_scan_falls_back_to_exact_integers(monkeypatch):
-    # the twin of the narrow-enclosure test, whose rows 1030 and 2047 now
-    # take the scan: with an error bound that settles no entry, every entry
-    # past the exact first ones is math.comb's, and the rows are still the
-    # exact roundings bit for bit
+    # with an error bound that settles no entry, every entry past the exact
+    # first ones is math.comb's, from m = 65 on, and the rows are still
+    # the exact roundings bit for bit
     monkeypatch.setattr(derivative, "_SCAN_ERROR", 1.0)
     calls = []
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda m, i: calls.append(m) or comb(m, i))
-    for m in (1030, 2047):
+    for m in (*range(301), 1030, 2047):
         row = _exact_binomials(m)
         f, e = _binomials(m)
-        assert np.array_equal(f, [c / (1 << c.bit_length()) for c in row])
-        assert np.array_equal(e, [c.bit_length() for c in row])
-    assert set(calls) == {1030, 2047}
+        assert np.array_equal(f, [c / (1 << c.bit_length()) for c in row]), m
+        assert np.array_equal(e, [c.bit_length() for c in row]), m
+    assert set(calls) == {*range(65, 301), 1030, 2047}
 
 
-def test_binomials_scan_matches_the_enclosure_on_short_rows(monkeypatch):
-    # rows of 1 to 301 entries through the scan, the one-entry rows and the
-    # exact first entries among them, give the enclosure's arrays
-    want = [_binomials(m) for m in range(301)]
-    monkeypatch.setattr(derivative, "_SCAN_FROM", 0)
-    for m, (f, e) in enumerate(want):
-        got_f, got_e = _binomials(m)
-        assert got_f.dtype == f.dtype and got_e.dtype == e.dtype == np.intc
-        assert np.array_equal(got_f, f) and np.array_equal(got_e, e), m
+def test_binomials_through_degree_64_take_no_scan(monkeypatch):
+    # the exact head, C(m, i) < 2^(54 + m.bit_length()), is the whole half
+    # row through m = 64, which covers the form build of every curve of
+    # degree up to 32, so of every curve the Table-1 sweep (n <= 20) and
+    # the elevation pool (n <= 30) build
+    def no_scan(*args):
+        raise AssertionError("the double-double scan ran")
+
+    monkeypatch.setattr(derivative, "_two_product", no_scan)
+    for m in range(65):
+        _binomials(m)
+    for n in range(2, 33):
+        build_derivative_form(counterexample_family(n))
+    with pytest.raises(AssertionError, match="scan ran"):
+        _binomials(65)
 
 
 # rows next to powers of two, where Kummer's theorem allows the most

@@ -34,6 +34,26 @@ def test_constant_derivative_line():
     assert result.argmax_t == 0.0
 
 
+def test_mirrored_peaks_resolve_to_the_smaller_parameter():
+    # a point-symmetric curve, p_(n-i) = -p_i and w_(n-i) = w_i, has
+    # |r'(1 - t)| = |r'(t)|.  Where its form's rows mirror bit for bit, so
+    # do the halves of mirrored pieces, and their attained values tie
+    # inside the halving loop: the smaller t is found first and stays
+    rng = np.random.default_rng(38)
+    mirrored = 0
+    for _ in range(400):
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        points = rng.uniform(-10.0, 10.0, size=(n + 1, d))
+        weights = np.exp2(rng.uniform(-3.0, 3.0, size=n + 1))
+        # IEEE subtraction is antisymmetric and multiplication commutes
+        curve = RationalBezierCurve(0.5 * (points - points[::-1]), weights * weights[::-1])
+        form = build_derivative_form(curve)
+        if np.array_equal(form.rows, form.rows[::-1]):
+            mirrored += 1
+            assert maximize_derivative_norm(form).argmax_t <= 0.5
+    assert mirrored >= 100
+
+
 def test_known_interior_peak():
     # degree-2 family member peaks at exactly t = 1/2 with value 8/3
     curve = counterexample_family(2)
